@@ -35,8 +35,8 @@ def main():
     h = build_hamiltonian(central, FIELD, terms=("ezi", "hfi", "nzi"))
     doublet = exact_transitions(h, central)
     print("electron + central 13C, exact (dimension 4):")
-    for t in doublet.transitions:
-        print(f"  {t.frequency:9.2f} MHz   relative intensity {t.intensity:.3f}")
+    for freq, intensity in zip(doublet.frequencies, doublet.intensities):
+        print(f"  {freq:9.2f} MHz   relative intensity {intensity:.3f}")
     top = np.sort(doublet.frequencies[np.argsort(doublet.intensities)[-2:]])
     print(f"dominant doublet splitting: {top[1] - top[0]:.1f} MHz")
 

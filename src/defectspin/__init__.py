@@ -45,7 +45,6 @@ from .isotopologues import (
 )
 from .solvers import (
     LineList,
-    Transition,
     ZeroFieldError,
     electron_axis,
     exact_transitions,
@@ -94,7 +93,6 @@ __all__ = [
     "SolveSettings",
     "Spectrum",
     "SpinSystem",
-    "Transition",
     "ZeroFieldError",
     "DEFAULT_WINDOW",
     "apply_pattern",

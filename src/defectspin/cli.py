@@ -20,7 +20,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -43,6 +43,8 @@ from .isotopologues import (
     enumerate_patterns,
 )
 from .solvers import (
+    MODE_ACONST,
+    MODE_FULL,
     LineList,
     ZeroFieldError,
     exact_transitions,
@@ -67,7 +69,23 @@ from .system import (
     load_defect_dataset,
 )
 
-METHODS = ("ezi", "perturb1", "perturb2", "a-constants", "exact", "hybrid")
+# Perturbative methods: name -> (order, mode) of the perturbative solvers.
+PERTURBATIVE = {
+    "perturb1": (1, MODE_FULL),
+    "perturb2": (2, MODE_FULL),
+    "a-constants": (2, MODE_ACONST),
+}
+METHODS = ("ezi", *PERTURBATIVE, "exact", "hybrid")
+# The approximation ladder of compare-methods: (row label, method, exact
+# subset terms beyond hfi). "+" rather than "," keeps a label one CSV cell.
+LADDER = (
+    ("ezi", "ezi", ()),
+    ("a-constants", "a-constants", ()),
+    ("perturb2", "perturb2", ()),
+    ("perturb1", "perturb1", ()),
+    ("hybrid (1st: nzi)", "hybrid", ("nzi",)),
+    ("hybrid (1st: nzi+nqi)", "hybrid", ("nzi", "nqi")),
+)
 _SHELL_LADDER = {1: 1.0, 2: math.sqrt(3.0)}
 
 
@@ -80,130 +98,92 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings of one spectroscopy run, echoed into outputs."""
-
-    command: str
-    defect: str | None
-    system_path: str | None
-    field_gauss: float
-    direction: tuple[float, float, float]
-    method: str
-    exact_shell: int
-    subset_terms: tuple[str, ...]
-    include_nqi: bool
-    isotope_mode: str
-    pattern: str | None
-    carbon13: bool
-    element: str
-    seed: int
-    samples: int
-    window: tuple[float, float]
-    shift_mhz: float
-    line_width: float
-    grid: tuple[float, float, float]
-    out_spectrum: str | None
-    out_lines: str | None
-    fmt: str
-    data_dir: str | None
-
-    @property
-    def field_vector(self) -> np.ndarray:
-        d = np.asarray(self.direction, dtype=float)
-        norm = np.linalg.norm(d)
-        if norm == 0:
-            raise UsageError("field direction must be a nonzero vector")
-        return self.field_gauss * d / norm
-
-    def echo(self) -> dict:
-        out = {"command": self.command}
-        for f in fields(self):
-            if f.name in ("command", "out_spectrum", "out_lines"):
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-
-def _parse_triple(text: str, name: str) -> tuple[float, ...]:
+def _floats(text: str, count: int, message: str, finite: bool = True):
+    """``count`` comma-separated numbers, else ``message`` as a flag error."""
     try:
-        parts = tuple(float(p) for p in text.split(","))
+        values = tuple(float(p) for p in text.split(","))
     except ValueError:
-        raise UsageError(f"cannot parse {name} {text!r}") from None
-    return parts
+        values = ()
+    if len(values) != count or (finite and not all(map(math.isfinite, values))):
+        raise argparse.ArgumentTypeError(message)
+    return values
 
 
-def _parse_window(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError("window must be 'lo,hi' in MHz (hi may be inf)")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise UsageError(f"cannot parse window {text!r}") from None
-    return lo, hi
+def _finite(text: str) -> float:
+    return _floats(text, 1, f"expected a finite number, got {text!r}")[0]
 
 
-def _config_from_args(args, command: str) -> RunConfig:
-    direction = _parse_triple(args.direction, "direction")
-    if len(direction) != 3:
-        raise UsageError("direction needs three comma-separated components")
-    grid = _parse_triple(getattr(args, "grid", "0,300,0.1"), "grid")
-    if len(grid) != 3:
-        raise UsageError("grid needs 'start,stop,step'")
-    return RunConfig(
-        command=command,
-        defect=getattr(args, "defect", None),
-        system_path=getattr(args, "system", None),
-        field_gauss=args.B,
-        direction=direction,
-        method=getattr(args, "method", "perturb2"),
-        exact_shell=getattr(args, "exact_shell", 1),
-        subset_terms=tuple(
-            t for t in getattr(args, "subset_terms", "nzi").split(",") if t
-        ),
-        include_nqi=getattr(args, "nqi", False),
-        isotope_mode=getattr(args, "isotopes", "fixed"),
-        pattern=getattr(args, "pattern", None),
-        carbon13=getattr(args, "carbon13", False),
-        element=getattr(args, "element", "B"),
-        seed=args.seed,
-        samples=args.samples,
-        window=_parse_window(args.window),
-        shift_mhz=getattr(args, "shift", 0.0),
-        line_width=getattr(args, "width", DEFAULT_LINE_WIDTH),
-        grid=grid,
-        out_spectrum=getattr(args, "out_spectrum", None),
-        out_lines=getattr(args, "out_lines", None),
-        fmt=args.format,
-        data_dir=args.data,
-    )
+def _direction(text: str) -> tuple[float, float, float]:
+    direction = _floats(text, 3, "direction needs three finite comma-separated numbers")
+    if not any(direction):
+        raise argparse.ArgumentTypeError("field direction must be a nonzero vector")
+    return direction
 
 
-def _dataset_path(config: RunConfig, name: str) -> str | None:
-    if config.data_dir:
-        return os.path.join(config.data_dir, name)
-    return None
+def _window(text: str) -> tuple[float, float]:
+    message = "window must be 'lo,hi' in MHz (hi may be inf)"
+    return _floats(text, 2, message, finite=False)
 
 
-def _resolve_system(config: RunConfig) -> SpinSystem:
-    if config.system_path:
-        with open(config.system_path) as fh:
+def _grid(text: str) -> tuple[float, float, float]:
+    start, stop, step = _floats(text, 3, "grid needs finite 'start,stop,step'")
+    if not (step > 0 and stop >= start):
+        raise argparse.ArgumentTypeError("grid needs step > 0 and stop >= start")
+    return start, stop, step
+
+
+def _terms(text: str) -> tuple[str, ...]:
+    return tuple(t for t in text.split(",") if t)
+
+
+# What an export header echoes of an odmr run: key -> flag destination.
+_ECHO = {
+    "defect": "defect",
+    "system_path": "system",
+    "field_gauss": "B",
+    "direction": "direction",
+    "method": "method",
+    "exact_shell": "exact_shell",
+    "subset_terms": "subset_terms",
+    "include_nqi": "nqi",
+    "isotope_mode": "isotopes",
+    "pattern": "pattern",
+    "carbon13": "carbon13",
+    "element": "element",
+    "seed": "seed",
+    "samples": "samples",
+    "window": "window",
+    "shift_mhz": "shift",
+    "line_width": "width",
+    "grid": "grid",
+    "fmt": "format",
+    "data_dir": "data",
+}
+
+
+def _field(args) -> np.ndarray:
+    direction = np.asarray(args.direction, dtype=float)
+    return args.B * direction / np.linalg.norm(direction)
+
+
+def _dataset_path(args, name: str) -> str | None:
+    return os.path.join(args.data, name) if args.data else None
+
+
+def _resolve_system(args) -> SpinSystem:
+    if args.system:
+        with open(args.system) as fh:
             return SpinSystem.from_dict(json.load(fh))
-    if not config.defect:
+    if not args.defect:
         raise UsageError("either --defect or --system is required")
-    records = load_defect_dataset(_dataset_path(config, "defects.json"))
-    record = find_defect(records, config.defect)
-    overrides = {"C": "13C"} if config.carbon13 else None
-    return build_system(record, overrides)
+    records = load_defect_dataset(_dataset_path(args, "defects.json"))
+    record = find_defect(records, args.defect)
+    return build_system(record, {"C": "13C"} if args.carbon13 else None)
 
 
-def _parse_pattern(config: RunConfig, system: SpinSystem) -> IsotopePattern:
+def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
     counts: dict[str, int] = {}
-    for chunk in config.pattern.split(","):
+    for chunk in args.pattern.split(","):
         if not chunk:
             continue
         if ":" not in chunk:
@@ -235,224 +215,163 @@ def _parse_pattern(config: RunConfig, system: SpinSystem) -> IsotopePattern:
     return IsotopePattern(counts=((gid, ordered),), probability=1.0)
 
 
-def _hybrid_indices(config: RunConfig, system: SpinSystem) -> tuple[int, ...]:
-    max_dist = _SHELL_LADDER.get(config.exact_shell)
-    if max_dist is None:
-        raise UsageError(f"--exact-shell must be one of {sorted(_SHELL_LADDER)}")
-    indices = shell_indices(system, max_dist)
-    if not indices:
-        raise UsageError("no spin-carrying sites inside the requested shell")
-    return indices
-
-
-def _solve(config: RunConfig, system: SpinSystem) -> LineList:
-    field = config.field_vector
-    method = config.method
-    if method == "ezi":
-        bare = SpinSystem(system.label + ":electron", (), system.g_tensor)
-        h = build_hamiltonian(bare, field, terms=("ezi",))
-        return exact_transitions(h, bare)
-    if method == "exact":
-        terms = ("ezi", "hfi", "nzi") + (("nqi",) if config.include_nqi else ())
-        h = build_hamiltonian(system, field, terms=terms)
-        return exact_transitions(h, system)
-    if method == "hybrid":
-        terms = ("hfi",) + config.subset_terms
-        return hybrid_solve(
-            system, _hybrid_indices(config, system), field, subset_terms=terms
-        )
-    if method in ("perturb1", "perturb2", "a-constants"):
-        order = 1 if method == "perturb1" else 2
-        mode = "a_constants" if method == "a-constants" else "full_tensor"
+def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
+    """Run ``method`` on ``system``; ``subset_terms`` extend hfi for hybrid."""
+    field = _field(args)
+    if method in PERTURBATIVE:
+        order, mode = PERTURBATIVE[method]
         return sample_configurations(
             system,
             field,
             order=order,
             mode=mode,
-            sample_count=config.samples,
-            seed=config.seed,
+            sample_count=args.samples,
+            seed=args.seed,
         )
-    raise UsageError(f"unknown method {method!r}")
+    if method == "hybrid":
+        indices = shell_indices(system, _SHELL_LADDER[args.exact_shell])
+        if not indices:
+            raise UsageError("no spin-carrying sites inside the requested shell")
+        terms = ("hfi", *subset_terms)
+        return hybrid_solve(system, indices, field, subset_terms=terms)
+    if method == "ezi":
+        system = SpinSystem(system.label + ":electron", (), system.g_tensor)
+        terms = ("ezi",)
+    else:
+        terms = ("ezi", "hfi", "nzi") + (("nqi",) if args.nqi else ())
+    return exact_transitions(build_hamiltonian(system, field, terms=terms), system)
 
 
-def _run_pipeline(config: RunConfig, system: SpinSystem) -> LineList:
-    if config.isotope_mode == "natural":
-        if config.method not in ("perturb1", "perturb2", "a-constants"):
+def _run_pipeline(args, system: SpinSystem) -> LineList:
+    if args.isotopes == "natural":
+        if args.method not in PERTURBATIVE:
             raise UsageError(
                 "--isotopes natural needs a perturbative method "
                 "(perturb1, perturb2 or a-constants)"
             )
-        patterns = enumerate_patterns(system, (config.element,))
+        order, mode = PERTURBATIVE[args.method]
         settings = SolveSettings(
-            order=1 if config.method == "perturb1" else 2,
-            mode="a_constants" if config.method == "a-constants" else "full_tensor",
-            sample_count=config.samples,
-            seed=config.seed,
+            order=order, mode=mode, sample_count=args.samples, seed=args.seed
         )
-        return composite_lines(system, patterns, config.field_vector, settings)
-    if config.isotope_mode == "explicit":
-        if not config.pattern:
+        patterns = enumerate_patterns(system, (args.element,))
+        return composite_lines(system, patterns, _field(args), settings)
+    if args.isotopes == "explicit":
+        if not args.pattern:
             raise UsageError("--isotopes explicit needs --pattern")
-        concrete = apply_pattern(system, _parse_pattern(config, system))
-        return _solve(config, concrete)
-    if config.isotope_mode != "fixed":
-        raise UsageError(f"unknown isotope mode {config.isotope_mode!r}")
-    return _solve(config, system)
+        system = apply_pattern(system, _parse_pattern(args, system))
+    return _solve(args, system, args.method, args.subset_terms)
 
 
-def _export_meta(config: RunConfig) -> dict:
-    meta = config.echo()
-    meta["dataset_version"] = dataset_version(_dataset_path(config, "defects.json"))
-    meta["seed"] = config.seed
+def _export_meta(args) -> dict:
+    meta = {"command": args.command}
+    for key, dest in _ECHO.items():
+        value = getattr(args, dest)
+        if value is not None:
+            meta[key] = list(value) if isinstance(value, tuple) else value
+    meta["dataset_version"] = dataset_version(_dataset_path(args, "defects.json"))
     return meta
 
 
-def _print_table(rows: list[list[str]], header: list[str], fmt: str, out):
+def _cell(value, spec: str | None, fmt: str) -> str:
+    """The one number formatter: ``.9g`` in CSV, ``spec`` in tables."""
+    if isinstance(value, float):
+        return format(value, ".9g" if fmt == "csv" else spec)
+    return str(value)
+
+
+def _print_table(title: str, header: dict, rows, fmt: str):
+    """Print ``rows`` under ``header``, a map of column name to table spec.
+
+    Tables get ``title`` above padded columns; CSV gets the bare cells.
+    """
+    specs = list(header.values())
+    rows = [[_cell(v, s, fmt) for v, s in zip_longest(row, specs)] for row in rows]
     if fmt == "csv":
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(row), file=out)
+        for row in [list(header), *rows]:
+            print(",".join(row))
         return
+    print(title)
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
         for i, h in enumerate(header)
     ]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)), file=out)
-    for row in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(row, widths)), file=out)
+    for row in [list(header), *rows]:
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
 
 
 def cmd_odmr(args) -> int:
-    config = _config_from_args(args, "odmr")
-    system = _resolve_system(config)
-    lines = _run_pipeline(config, system)
-    if config.shift_mhz:
-        lines = shift(lines, config.shift_mhz)
-    stats = peak_stats(lines, config.window)
-    out = sys.stdout
-    if config.fmt == "csv":
-        print("# " + json.dumps(_export_meta(config), sort_keys=True), file=out)
-        print("center_MHz,sigma_MHz,fwhm_MHz,included_weight_fraction", file=out)
+    system = _resolve_system(args)
+    lines = _run_pipeline(args, system)
+    if args.shift:
+        lines = shift(lines, args.shift)
+    stats = peak_stats(lines, args.window)
+    if args.format == "csv":
+        print("# " + json.dumps(_export_meta(args), sort_keys=True))
+        print("center_MHz,sigma_MHz,fwhm_MHz,included_weight_fraction")
         print(
             f"{stats.center:.9g},{stats.sigma:.9g},"
-            f"{stats.fwhm_gauss:.9g},{stats.included_weight_fraction:.9g}",
-            file=out,
+            f"{stats.fwhm_gauss:.9g},{stats.included_weight_fraction:.9g}"
         )
     else:
-        label = config.defect or os.path.basename(config.system_path or "system")
-        print(
-            f"defect {label}  method {config.method}  "
-            f"B {config.field_gauss:g} G  seed {config.seed}",
-            file=out,
-        )
-        print(
-            f"FWHM {stats.fwhm_gauss:.0f} MHz, center {stats.center:.0f} MHz",
-            file=out,
-        )
-        print(f"center_MHz {stats.center:.9g}", file=out)
-        print(f"sigma_MHz {stats.sigma:.9g}", file=out)
-        print(f"fwhm_MHz {stats.fwhm_gauss:.9g}", file=out)
-        print(
-            f"included_weight_fraction {stats.included_weight_fraction:.9g}",
-            file=out,
-        )
-    meta = _export_meta(config)
-    if config.out_lines:
-        write_linelist(lines, config.out_lines, extra_meta=meta)
-    if config.out_spectrum:
-        start, stop, step = config.grid
+        label = args.defect or os.path.basename(args.system or "system")
+        print(f"defect {label}  method {args.method}  B {args.B:g} G  seed {args.seed}")
+        print(f"FWHM {stats.fwhm_gauss:.0f} MHz, center {stats.center:.0f} MHz")
+        print(f"center_MHz {stats.center:.9g}")
+        print(f"sigma_MHz {stats.sigma:.9g}")
+        print(f"fwhm_MHz {stats.fwhm_gauss:.9g}")
+        print(f"included_weight_fraction {stats.included_weight_fraction:.9g}")
+    meta = _export_meta(args)
+    if args.out_lines:
+        write_linelist(lines, args.out_lines, extra_meta=meta)
+    if args.out_spectrum:
+        start, stop, step = args.grid
         grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
-        rendered = synthesize(lines, grid, per_line_width=config.line_width)
-        write_spectrum(rendered, config.out_spectrum, extra_meta=meta)
+        rendered = synthesize(lines, grid, per_line_width=args.width)
+        write_spectrum(rendered, args.out_spectrum, extra_meta=meta)
     return 0
 
 
-def _method_variants(config: RunConfig):
-    yield "ezi", config
-    for name in ("a-constants", "perturb2", "perturb1"):
-        yield name, _replace_config(config, method=name)
-    hybrid_base = _replace_config(config, method="hybrid", subset_terms=("nzi",))
-    yield "hybrid (1st: nzi)", hybrid_base
-    # "+" rather than "," so the label stays a single CSV cell
-    yield "hybrid (1st: nzi+nqi)", _replace_config(
-        config, method="hybrid", subset_terms=("nzi", "nqi")
-    )
-
-
-def _replace_config(config: RunConfig, **changes) -> RunConfig:
-    import dataclasses
-
-    return dataclasses.replace(config, **changes)
-
-
 def cmd_compare_methods(args) -> int:
-    config = _config_from_args(args, "compare-methods")
-    config = _replace_config(config, method="ezi")
-    system = _resolve_system(config)
+    system = _resolve_system(args)
     rows = []
-    for name, variant in _method_variants(config):
+    for label, method, subset_terms in LADDER:
         try:
-            stats = peak_stats(_solve(variant, system), config.window)
+            stats = peak_stats(_solve(args, system, method, subset_terms), args.window)
         except ValueError as exc:
-            rows.append([name, "n/a", "n/a", str(exc)])
+            rows.append([label, "n/a", "n/a", str(exc)])
             continue
-        if config.fmt == "csv":
-            rows.append([name, f"{stats.fwhm_gauss:.9g}", f"{stats.center:.9g}"])
-        else:
-            rows.append([name, f"{stats.fwhm_gauss:.0f}", f"{stats.center:.0f}"])
-    if config.fmt != "csv":
-        print(
-            f"defect {config.defect}  B {config.field_gauss:g} G  "
-            f"window {config.window[0]:g}-{config.window[1]:g} MHz  "
-            f"seed {config.seed}"
-        )
-    _print_table(rows, ["method", "fwhm_MHz", "center_MHz"], config.fmt, sys.stdout)
+        rows.append([label, stats.fwhm_gauss, stats.center])
+    title = (
+        f"defect {args.defect}  B {args.B:g} G  "
+        f"window {args.window[0]:g}-{args.window[1]:g} MHz  seed {args.seed}"
+    )
+    header = {"method": None, "fwhm_MHz": ".0f", "center_MHz": ".0f"}
+    _print_table(title, header, rows, args.format)
     return 0
 
 
 def cmd_isotopes(args) -> int:
-    config = _config_from_args(args, "isotopes")
-    system = _resolve_system(config)
-    if config.pattern:
-        patterns = [_parse_pattern(config, system)]
+    system = _resolve_system(args)
+    if args.pattern:
+        patterns = [_parse_pattern(args, system)]
     else:
-        patterns = enumerate_patterns(system, (config.element,))
-    symbols = [iso.symbol for iso in isotopes_of(config.element)]
+        patterns = enumerate_patterns(system, (args.element,))
+    symbols = [iso.symbol for iso in isotopes_of(args.element)]
     rows = []
     for k, pattern in enumerate(patterns):
         concrete = apply_pattern(system, pattern)
         lines = sample_configurations(
-            concrete,
-            config.field_vector,
-            sample_count=config.samples,
-            seed=[config.seed, k],
+            concrete, _field(args), sample_count=args.samples, seed=[args.seed, k]
         )
-        stats = peak_stats(lines, config.window)
-        counts = [str(pattern.count_of(s)) for s in symbols]
-        if config.fmt == "csv":
-            rows.append(
-                counts
-                + [
-                    f"{100.0 * pattern.probability:.9g}",
-                    f"{stats.center:.9g}",
-                    f"{stats.fwhm_gauss:.9g}",
-                ]
-            )
-        else:
-            rows.append(
-                counts
-                + [
-                    f"{100.0 * pattern.probability:.2f}",
-                    f"{stats.center:.0f}",
-                    f"{stats.fwhm_gauss:.0f}",
-                ]
-            )
-    header = [f"n_{s}" for s in symbols] + ["p_percent", "center_MHz", "fwhm_MHz"]
-    if config.fmt != "csv":
-        print(
-            f"defect {config.defect}  B {config.field_gauss:g} G  seed {config.seed}"
+        stats = peak_stats(lines, args.window)
+        rows.append(
+            [pattern.count_of(s) for s in symbols]
+            + [100.0 * pattern.probability, stats.center, stats.fwhm_gauss]
         )
-    _print_table(rows, header, config.fmt, sys.stdout)
+    header = {f"n_{s}": None for s in symbols}
+    header.update(p_percent=".2f", center_MHz=".0f", fwhm_MHz=".0f")
+    title = f"defect {args.defect}  B {args.B:g} G  seed {args.seed}"
+    _print_table(title, header, rows, args.format)
     return 0
 
 
@@ -495,14 +414,9 @@ def cmd_ctl(args) -> int:
                 ",".join(sorted(flags)) if flags else "-",
             ]
         )
-    if args.format != "csv":
-        print(f"charge transition levels (eV, VBM = 0, CBM = {energetics.INDIRECT_GAP_EV})")
-    _print_table(
-        rows,
-        ["defect", "transition", "corrected_eV", "uncorrected_eV", "flags"],
-        args.format,
-        sys.stdout,
-    )
+    title = f"charge transition levels (eV, VBM = 0, CBM = {energetics.INDIRECT_GAP_EV})"
+    columns = ("defect", "transition", "corrected_eV", "uncorrected_eV", "flags")
+    _print_table(title, dict.fromkeys(columns), rows, args.format)
     if args.diagram:
         with open(args.diagram, "w") as fh:
             fh.write(ctl_diagram(records))
@@ -537,12 +451,12 @@ def cmd_binding(args) -> int:
             [neutral[c] for c in constituents],
             neutral[pristine_label],
         )
-        value = f"{eb:.9g}" if args.format == "csv" else f"{eb:.2f}"
-        rows.append([name, str(len(constituents)), value])
-    if args.format != "csv":
-        print("binding energies (eV); negative favors complex formation")
+        rows.append([name, len(constituents), eb])
     _print_table(
-        rows, ["complex", "constituents", "binding_eV"], args.format, sys.stdout
+        "binding energies (eV); negative favors complex formation",
+        {"complex": None, "constituents": None, "binding_eV": ".2f"},
+        rows,
+        args.format,
     )
     return 0
 
@@ -574,12 +488,17 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_spectroscopy(p: argparse.ArgumentParser):
     p.add_argument("--defect", default=None, help="defect label from the dataset")
     p.add_argument("--system", default=None, help="path to a serialized spin system")
-    p.add_argument("--B", type=float, default=42.0, help="field magnitude in Gauss")
-    p.add_argument("--direction", default="0,0,1", help="field direction (crystal frame)")
+    p.add_argument("--B", type=_finite, default=42.0, help="field magnitude in Gauss")
+    p.add_argument("--direction", type=_direction, default="0,0,1",
+                   help="field direction (crystal frame)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000,
                    help="Monte-Carlo sample count past the enumeration threshold")
-    p.add_argument("--window", default="30,inf", help="analysis window lo,hi in MHz")
+    p.add_argument("--window", type=_window, default="30,inf",
+                   help="analysis window lo,hi in MHz")
+    # Settings every spectroscopy run has; odmr and isotopes expose some as
+    # flags, which take these defaults.
+    p.set_defaults(exact_shell=1, nqi=False, carbon13=False, element="B")
 
 
 def build_parser() -> tuple[_Parser, dict]:
@@ -590,9 +509,10 @@ def build_parser() -> tuple[_Parser, dict]:
     p = sub.add_parser("odmr", help="solve one defect and report peak statistics")
     _add_spectroscopy(p)
     p.add_argument("--method", choices=METHODS, default="perturb2")
-    p.add_argument("--exact-shell", type=int, default=1, dest="exact_shell",
+    p.add_argument("--exact-shell", type=int, choices=sorted(_SHELL_LADDER),
+                   dest="exact_shell",
                    help="neighbor shell diagonalized exactly (hybrid)")
-    p.add_argument("--subset-terms", default="nzi", dest="subset_terms",
+    p.add_argument("--subset-terms", type=_terms, default="nzi", dest="subset_terms",
                    help="extra exact-subsystem terms beyond hfi (hybrid)")
     p.add_argument("--nqi", action="store_true",
                    help="include nuclear quadrupole terms in the exact method")
@@ -602,11 +522,12 @@ def build_parser() -> tuple[_Parser, dict]:
                    help="explicit isotope counts, e.g. 11B:2,10B:1")
     p.add_argument("--carbon13", action="store_true",
                    help="substitute 13C on the carbon sites")
-    p.add_argument("--shift", type=float, default=0.0,
+    p.add_argument("--shift", type=_finite, default=0.0,
                    help="constant spectrum shift in MHz")
-    p.add_argument("--width", type=float, default=DEFAULT_LINE_WIDTH,
+    p.add_argument("--width", type=_finite, default=DEFAULT_LINE_WIDTH,
                    help="per-line FWHM for the synthesized spectrum")
-    p.add_argument("--grid", default="0,300,0.1", help="spectrum grid start,stop,step")
+    p.add_argument("--grid", type=_grid, default="0,300,0.1",
+                   help="spectrum grid start,stop,step")
     p.add_argument("--out-spectrum", default=None, dest="out_spectrum")
     p.add_argument("--out-lines", default=None, dest="out_lines")
     _add_common(p)
@@ -621,7 +542,7 @@ def build_parser() -> tuple[_Parser, dict]:
 
     p = sub.add_parser("isotopes", help="per-pattern isotopologue statistics")
     _add_spectroscopy(p)
-    p.add_argument("--element", default="B", help="element with variable isotopes")
+    p.add_argument("--element", help="element with variable isotopes")
     p.add_argument("--pattern", default=None,
                    help="restrict to one explicit pattern, e.g. 11B:3")
     _add_common(p)
@@ -654,35 +575,63 @@ def build_parser() -> tuple[_Parser, dict]:
     return parser, registry
 
 
-def _apply_config_file(args, registry):
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _read_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            overrides = json.load(fh)
+            document = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: config parse error at line {exc.lineno}") from None
-    if not isinstance(overrides, dict):
+    if not isinstance(document, dict):
         raise UsageError("config document must be a JSON object")
-    sub = registry[args.command]
-    for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            raise UsageError(f"config key {key!r} matches no flag of {args.command}")
-        # Flags that were left at their parser default take the config value.
-        if getattr(args, dest) == sub.get_default(dest):
-            setattr(args, dest, value)
-    return args
+    return document
+
+
+_JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string"}
+
+
+def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict):
+    """Config values, checked as their flags check them, keyed by dest.
+
+    A switch takes a JSON boolean, a numeric flag a number and every other
+    flag a string; the value then goes through the flag's type and choices.
+    """
+    actions = {a.dest: a for a in sub._actions}
+    defaults = {}
+    for key, value in document.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise UsageError(f"config key {key!r} matches no flag of {command}")
+        if action.nargs == 0:
+            kind = "boolean"
+        else:
+            kind = "number" if action.type in (int, _finite) else "string"
+        if _JSON_KINDS.get(type(value)) != kind:
+            raise UsageError(f"config key {key!r} needs a JSON {kind}, got {value!r}")
+        if action.type is not None:
+            try:
+                value = action.type(str(value))
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise UsageError(f"config key {key!r}: {value!r} is not one of {choices}")
+        defaults[action.dest] = value
+    return defaults
 
 
 def main(argv=None) -> int:
     parser, registry = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config_file(args, registry)
+        if args.config:
+            # Config values become the subcommand's defaults, so a second
+            # parse lets every explicit flag win over them.
+            sub = registry[args.command]
+            document = _read_config(args.config)
+            sub.set_defaults(**_config_defaults(sub, args.command, document))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"defectspin: usage error: {exc}", file=sys.stderr)

@@ -44,24 +44,10 @@ ENUMERATION_THRESHOLD = 10**6   # configurations; beyond this, sample
 
 MODE_FULL = "full_tensor"
 MODE_ACONST = "a_constants"
-_MODE_ALIASES = {
-    MODE_FULL: MODE_FULL,
-    "full": MODE_FULL,
-    MODE_ACONST: MODE_ACONST,
-    "aconst": MODE_ACONST,
-    "a-constants": MODE_ACONST,
-}
 
 
 class ZeroFieldError(ValueError):
     """Perturbation theory has no expansion point at zero field."""
-
-
-@dataclass(frozen=True)
-class Transition:
-    frequency: float
-    intensity: float
-    weight: float
 
 
 @dataclass(eq=False)
@@ -91,13 +77,6 @@ class LineList:
     @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
-
-    @property
-    def transitions(self) -> list[Transition]:
-        return [
-            Transition(float(f), float(i), float(w))
-            for f, i, w in zip(self.frequencies, self.intensities, self.weights)
-        ]
 
     def sorted(self) -> "LineList":
         """Stable sort by (frequency, weight); merge-order independent."""
@@ -153,17 +132,36 @@ def _shift_table(site, isotope, axis, nu_e, order, mode) -> np.ndarray:
     return shifts
 
 
-def _check_perturbative(system: SpinSystem, nu_e: float, mode: str):
-    for k, (site, iso) in enumerate(system.sites):
-        if iso.spin == 0.0:
-            continue
-        norm = float(np.linalg.norm(_site_tensor(site, mode), 2))
-        if norm >= nu_e:
-            warnings.warn(
-                f"site {k}: ||A|| = {norm:.1f} MHz is not small against "
-                f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
-                stacklevel=3,
-            )
+def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
+    """Checked set-up shared by every perturbative solver.
+
+    Validates ``order`` and ``mode``, raises ``ZeroFieldError`` at zero
+    electron Zeeman splitting, warns for each site in ``sites`` whose
+    coupling is not small against nu_e, and returns nu_e (MHz) with the
+    per-projection shift table of each site in ``sites``.
+    """
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if mode not in (MODE_FULL, MODE_ACONST):
+        raise ValueError(f"mode must be {MODE_FULL!r} or {MODE_ACONST!r}, not {mode!r}")
+    nu_e, axis = electron_axis(system, field)
+    if nu_e == 0.0:
+        raise ZeroFieldError(
+            "zero electron Zeeman splitting; use exact_transitions instead"
+        )
+    tables = []
+    for k in sites:
+        site, iso = system.sites[k]
+        if iso.spin > 0.0:
+            norm = float(np.linalg.norm(_site_tensor(site, mode), 2))
+            if norm >= nu_e:
+                warnings.warn(
+                    f"site {k}: ||A|| = {norm:.1f} MHz is not small against "
+                    f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
+                    stacklevel=3,
+                )
+        tables.append(_shift_table(site, iso, axis, nu_e, order, mode))
+    return nu_e, tables
 
 
 def perturb_lines(
@@ -175,19 +173,9 @@ def perturb_lines(
     weight 1/prod(2I_k + 1). ``mode`` selects the full crystal-frame
     tensors or the diagonal principal-value simplification.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    mode = _MODE_ALIASES[mode]
-    nu_e, axis = electron_axis(system, field)
-    if nu_e == 0.0:
-        raise ZeroFieldError(
-            "zero electron Zeeman splitting; use exact_transitions instead"
-        )
-    _check_perturbative(system, nu_e, mode)
-    tables = [
-        _shift_table(site, iso, axis, nu_e, order, mode)
-        for site, iso in system.sites
-    ]
+    nu_e, tables = _shift_tables(
+        system, field, order, mode, range(len(system.sites))
+    )
     total = reduce(np.add.outer, tables, np.zeros(())).ravel()
     freqs = nu_e + total
     count = total.size
@@ -281,24 +269,21 @@ def hybrid_solve(
     ``subset_terms``; every exact line is then convolved with the shift
     distribution of the remaining sites (frequencies add, weights
     multiply). Lines below the 30 MHz analysis floor stay in the list;
-    windowing is the statistics layer's job.
+    windowing is the statistics layer's job. ``order`` and ``mode`` are
+    checked, and zero field rejected, even when every site is exact.
     """
     selection = _normalize_selection(system, exact_sites)
     mask = normalize_terms(subset_terms) | {"ezi"}
     if not selection:
         return perturb_lines(system, field, order=order, mode=mode)
+    rest = [i for i in range(len(system.sites)) if i not in selection]
+    _, tables = _shift_tables(system, field, order, mode, rest)
     subsystem = system.subsystem(selection, label_suffix=":exact-subset")
     h = build_hamiltonian(subsystem, field, terms=mask, dimension_cap=dimension_cap)
     exact = exact_transitions(h, subsystem, intensity_floor=intensity_floor)
-    rest = [i for i in range(len(system.sites)) if i not in selection]
     if not rest:
         exact.meta.update(exact_sites=selection, method_detail="all sites exact")
         return exact
-    nu_e, axis = electron_axis(system, field)
-    tables = [
-        _shift_table(system.sites[i][0], system.sites[i][1], axis, nu_e, order, mode)
-        for i in rest
-    ]
     shifts = reduce(np.add.outer, tables, np.zeros(())).ravel()
     combo_weight = 1.0 / shifts.size
     freqs = np.add.outer(exact.frequencies, shifts).ravel()
@@ -338,7 +323,6 @@ def sample_configurations(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    mode = _MODE_ALIASES[mode]
     total = 1
     for d in system.site_dimensions():
         total *= d
@@ -346,16 +330,12 @@ def sample_configurations(
         lines = perturb_lines(system, field, order=order, mode=mode)
         lines.meta.update(sampled=False, seed=seed)
         return lines
-    nu_e, axis = electron_axis(system, field)
-    if nu_e == 0.0:
-        raise ZeroFieldError(
-            "zero electron Zeeman splitting; use exact_transitions instead"
-        )
-    _check_perturbative(system, nu_e, mode)
+    nu_e, tables = _shift_tables(
+        system, field, order, mode, range(len(system.sites))
+    )
     rng = np.random.default_rng(seed)
     freqs = np.full(sample_count, nu_e)
-    for site, iso in system.sites:
-        table = _shift_table(site, iso, axis, nu_e, order, mode)
+    for table in tables:
         freqs = freqs + table[rng.integers(0, table.size, size=sample_count)]
     return LineList(
         method=f"perturb{order}-mc",

@@ -30,7 +30,6 @@ all quadrupole matrix elements below 1 MHz.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
@@ -368,10 +367,3 @@ def build_system(
             iso = default_isotope(site.element)
         pairs.append((site, iso))
     return SpinSystem(record.label, tuple(pairs))
-
-
-def replace_site(system: SpinSystem, index: int, site: NuclearSite, isotope: Isotope):
-    """Functional single-site update preserving declared order."""
-    sites = list(system.sites)
-    sites[index] = (site, isotope)
-    return dataclasses.replace(system, sites=tuple(sites))

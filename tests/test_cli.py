@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +150,27 @@ def test_exact_method_respects_dimension_cap(capsys):
     assert "exceeds cap" in err
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid", "0,300,0", "--out-spectrum", "{tmp}/spec.tsv"],
+        ["--grid", "0,300,-1", "--out-spectrum", "{tmp}/spec.tsv"],
+        ["--B", "nan"],
+        ["--direction", "nan,0,1"],
+        ["--direction", "0,0,0"],
+    ],
+    ids=["zero-step", "negative-step", "nan-field", "nan-direction", "zero-direction"],
+)
+def test_bad_input_exits_one_before_output(capsys, tmp_path, flags):
+    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
+    code, out, err = _run(capsys, ["odmr", "--defect", "CN0", *flags])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"argument {flags[0]}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_window_exits_one(capsys):
     code, _, err = _run(capsys, ["odmr", "--defect", "CB0", "--window", "10"])
     assert code == 1
@@ -174,10 +196,35 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
 
 def test_explicit_flag_beats_config(capsys, tmp_path):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"defect": "CB0"}))
+    cfg.write_text(json.dumps({"defect": "CB0", "B": 50}))
     code, out, _ = _run(capsys, ["odmr", "--config", str(cfg), "--defect", "CN0"])
     assert code == 0
-    assert "defect CN0" in out
+    assert "defect CN0  method perturb2  B 50 G" in out
+    # An explicit flag wins even when it repeats the flag's default.
+    code, out, _ = _run(capsys, ["odmr", "--config", str(cfg), "--B", "42"])
+    assert code == 0
+    assert "defect CB0  method perturb2  B 42 G" in out
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"defect": "CN0", "B": "50"}, "'B'"),
+        ({"defect": "CN0", "method": "bogus"}, "'method'"),
+        ({"defect": "CN0", "nqi": "yes"}, "'nqi'"),
+        ({"defect": "CN0", "direction": "0,0,0"}, "'direction'"),
+        ({"defect": "CN0", "seed": 1.5}, "'seed'"),
+    ],
+    ids=["string-number", "bad-choice", "string-switch", "zero-direction", "float-int"],
+)
+def test_config_rejects_bad_value(capsys, tmp_path, document, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(document))
+    code, out, err = _run(capsys, ["odmr", "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"config key {key}" in err
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
@@ -286,3 +333,26 @@ def test_export_dataset_single_file(capsys, tmp_path):
     assert code == 0
     assert (tmp_path / "energies.json").exists()
     assert not (tmp_path / "defects.json").exists()
+
+
+def _readme_sessions():
+    """(argv, stdout lines) of each ``$ defectspin`` example in README.md."""
+    sessions, current = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            current = None
+        elif line.startswith("$ defectspin "):
+            current = (line.split()[2:], [])
+            sessions.append(current)
+        elif current is not None and line.strip():
+            current[1].append(line.rstrip())
+    return sessions
+
+
+def test_readme_examples_match_cli(capsys):
+    sessions = _readme_sessions()
+    assert [argv[0] for argv, _ in sessions] == ["odmr", "compare-methods", "isotopes"]
+    for argv, expected in sessions:
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert [ln.rstrip() for ln in out.splitlines()] == expected

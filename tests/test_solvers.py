@@ -274,11 +274,36 @@ def test_linelist_sorted_and_transitions():
     )
     ordered = lines.sorted()
     np.testing.assert_allclose(ordered.frequencies, [1.0, 3.0, 5.0])
-    first = ordered.transitions[0]
-    assert (first.frequency, first.weight) == (1.0, 0.5)
+    assert (ordered.frequencies[0], ordered.weights[0]) == (1.0, 0.5)
     assert lines.total_weight == pytest.approx(1.0)
 
 
 def test_linelist_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
         LineList("x", FIELD, np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+_FRONT_DOORS = {
+    "perturb_lines": perturb_lines,
+    "sampled": lambda system, field, **kw: sample_configurations(
+        system, field, sample_count=100, enumeration_threshold=1, **kw
+    ),
+    "hybrid_solve": lambda system, field, **kw: hybrid_solve(
+        system, shell_indices(system), field, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_FRONT_DOORS))
+@pytest.mark.parametrize(
+    "field, kwargs, error",
+    [
+        (np.zeros(3), {}, ZeroFieldError),
+        (FIELD, {"mode": "bogus"}, ValueError),
+        (FIELD, {"order": 3}, ValueError),
+    ],
+    ids=["zero-field", "bad-mode", "bad-order"],
+)
+def test_perturbative_front_doors_reject_bad_requests(solver, field, kwargs, error):
+    with pytest.raises(error):
+        _FRONT_DOORS[solver](_load("CN0"), field, **kwargs)

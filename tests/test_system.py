@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from defectspin.isotopes import lookup
 from defectspin.system import (
     DatasetError,
     NuclearSite,
@@ -20,7 +19,6 @@ from defectspin.system import (
     expand_shell,
     find_defect,
     load_defect_dataset,
-    replace_site,
 )
 
 
@@ -186,14 +184,6 @@ def test_system_round_trip_serialization():
         np.testing.assert_allclose(
             s1.hyperfine_tensor(), s2.hyperfine_tensor(), atol=1e-12
         )
-
-
-def test_replace_site_swaps_isotope():
-    records = load_defect_dataset()
-    cn = build_system(find_defect(records, "CN0"))
-    swapped = replace_site(cn, 0, cn.sites[0][0], lookup("15N"))
-    assert swapped.sites[0][1].symbol == "15N"
-    assert swapped.sites[1][1].symbol == cn.sites[1][1].symbol
 
 
 def test_dataset_error_reports_line_number(tmp_path):
