@@ -20,7 +20,6 @@ import math
 import os
 import shutil
 import sys
-from itertools import zip_longest
 
 import numpy as np
 
@@ -111,6 +110,16 @@ def _floats(text: str, count: int, message: str, finite: bool = True):
 
 def _finite(text: str) -> float:
     return _floats(text, 1, f"expected a finite number, got {text!r}")[0]
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return value
 
 
 def _direction(text: str) -> tuple[float, float, float]:
@@ -285,7 +294,7 @@ def _print_table(title: str, header: dict, rows, fmt: str):
     Tables get ``title`` above padded columns; CSV gets the bare cells.
     """
     specs = list(header.values())
-    rows = [[_cell(v, s, fmt) for v, s in zip_longest(row, specs)] for row in rows]
+    rows = [[_cell(v, s, fmt) for v, s in zip(row, specs, strict=True)] for row in rows]
     if fmt == "csv":
         for row in [list(header), *rows]:
             print(",".join(row))
@@ -338,7 +347,8 @@ def cmd_compare_methods(args) -> int:
         try:
             stats = peak_stats(_solve(args, system, method, subset_terms), args.window)
         except ValueError as exc:
-            rows.append([label, "n/a", "n/a", str(exc)])
+            print(f"defectspin: {label}: {exc}", file=sys.stderr)
+            rows.append([label, "n/a", "n/a"])
             continue
         rows.append([label, stats.fwhm_gauss, stats.center])
     title = (
@@ -492,7 +502,7 @@ def _add_spectroscopy(p: argparse.ArgumentParser):
     p.add_argument("--direction", type=_direction, default="0,0,1",
                    help="field direction (crystal frame)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000,
+    p.add_argument("--samples", type=_count, default=100_000,
                    help="Monte-Carlo sample count past the enumeration threshold")
     p.add_argument("--window", type=_window, default="30,inf",
                    help="analysis window lo,hi in MHz")
@@ -606,7 +616,7 @@ def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict)
         if action.nargs == 0:
             kind = "boolean"
         else:
-            kind = "number" if action.type in (int, _finite) else "string"
+            kind = "number" if action.type in (int, _count, _finite) else "string"
         if _JSON_KINDS.get(type(value)) != kind:
             raise UsageError(f"config key {key!r} needs a JSON {kind}, got {value!r}")
         if action.type is not None:

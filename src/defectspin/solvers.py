@@ -135,8 +135,9 @@ def _shift_table(site, isotope, axis, nu_e, order, mode) -> np.ndarray:
 def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
     """Checked set-up shared by every perturbative solver.
 
-    Validates ``order`` and ``mode``, raises ``ZeroFieldError`` at zero
-    electron Zeeman splitting, warns for each site in ``sites`` whose
+    Validates ``order``, ``mode`` and the field (``ValueError`` unless every
+    component is finite), raises ``ZeroFieldError`` at zero electron Zeeman
+    splitting, warns for each site in ``sites`` whose
     coupling is not small against nu_e, and returns nu_e (MHz) with the
     per-projection shift table of each site in ``sites``.
     """
@@ -144,6 +145,9 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
         raise ValueError("order must be 1 or 2")
     if mode not in (MODE_FULL, MODE_ACONST):
         raise ValueError(f"mode must be {MODE_FULL!r} or {MODE_ACONST!r}, not {mode!r}")
+    b = np.asarray(field, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError(f"field must be finite, got {b.tolist()}")
     nu_e, axis = electron_axis(system, field)
     if nu_e == 0.0:
         raise ZeroFieldError(

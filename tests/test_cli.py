@@ -151,19 +151,23 @@ def test_exact_method_respects_dimension_cap(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags",
+    "argv",
     [
-        ["--grid", "0,300,0", "--out-spectrum", "{tmp}/spec.tsv"],
-        ["--grid", "0,300,-1", "--out-spectrum", "{tmp}/spec.tsv"],
-        ["--B", "nan"],
-        ["--direction", "nan,0,1"],
-        ["--direction", "0,0,0"],
+        ["odmr", "--grid", "0,300,0", "--out-spectrum", "{tmp}/spec.tsv"],
+        ["odmr", "--grid", "0,300,-1", "--out-spectrum", "{tmp}/spec.tsv"],
+        ["odmr", "--B", "nan"],
+        ["odmr", "--direction", "nan,0,1"],
+        ["odmr", "--direction", "0,0,0"],
+        ["compare-methods", "--samples", "0", "--format", "csv"],
     ],
-    ids=["zero-step", "negative-step", "nan-field", "nan-direction", "zero-direction"],
+    ids=[
+        "zero-step", "negative-step", "nan-field", "nan-direction", "zero-direction",
+        "zero-samples",
+    ],
 )
-def test_bad_input_exits_one_before_output(capsys, tmp_path, flags):
-    flags = [f.replace("{tmp}", str(tmp_path)) for f in flags]
-    code, out, err = _run(capsys, ["odmr", "--defect", "CN0", *flags])
+def test_bad_input_exits_one_before_output(capsys, tmp_path, argv):
+    command, *flags = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = _run(capsys, [command, "--defect", "CN0", *flags])
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -214,8 +218,12 @@ def test_explicit_flag_beats_config(capsys, tmp_path):
         ({"defect": "CN0", "nqi": "yes"}, "'nqi'"),
         ({"defect": "CN0", "direction": "0,0,0"}, "'direction'"),
         ({"defect": "CN0", "seed": 1.5}, "'seed'"),
+        ({"defect": "CN0", "samples": 0}, "'samples'"),
     ],
-    ids=["string-number", "bad-choice", "string-switch", "zero-direction", "float-int"],
+    ids=[
+        "string-number", "bad-choice", "string-switch", "zero-direction", "float-int",
+        "zero-samples",
+    ],
 )
 def test_config_rejects_bad_value(capsys, tmp_path, document, key):
     cfg = tmp_path / "run.json"
@@ -248,6 +256,20 @@ def test_compare_methods_rows(capsys):
     assert float(rows["ezi"][1]) == pytest.approx(0.0, abs=1e-9)
     assert float(rows["ezi"][2]) == pytest.approx(117.57, abs=0.01)
     assert float(rows["perturb2"][1]) == pytest.approx(74.26, abs=0.05)
+
+
+def test_compare_methods_na_rows_match_header(capsys):
+    # No line of CN0 at 42 G falls inside 500-600 MHz: every row is n/a.
+    code, out, err = _run(
+        capsys,
+        ["compare-methods", "--defect", "CN0", "--window", "500,600", "--format", "csv"],
+    )
+    assert code == 0
+    header, *rows = [ln.split(",") for ln in out.splitlines()]
+    assert len(rows) == 6
+    assert all(row[1:] == ["n/a", "n/a"] and len(row) == len(header) for row in rows)
+    assert len(err.splitlines()) == 6
+    assert "no line with positive mass" in err
 
 
 def test_isotopes_table(capsys):

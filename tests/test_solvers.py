@@ -301,8 +301,10 @@ _FRONT_DOORS = {
         (np.zeros(3), {}, ZeroFieldError),
         (FIELD, {"mode": "bogus"}, ValueError),
         (FIELD, {"order": 3}, ValueError),
+        (np.array([np.nan, 0.0, 1.0]), {}, ValueError),
+        (np.array([np.inf, 0.0, 1.0]), {}, ValueError),
     ],
-    ids=["zero-field", "bad-mode", "bad-order"],
+    ids=["zero-field", "bad-mode", "bad-order", "nan-field", "inf-field"],
 )
 def test_perturbative_front_doors_reject_bad_requests(solver, field, kwargs, error):
     with pytest.raises(error):

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR
 from defectspin.solvers import LineList
 from defectspin.spectrum import (
     DEFAULT_WINDOW,
+    KERNEL_REACH,
     Spectrum,
     default_grid,
     peak_stats,
@@ -130,6 +135,96 @@ def test_spectrum_rejects_nonuniform_grid():
         Spectrum(np.array([0.0, 1.0, 3.0]), np.zeros(3))
 
 
+def test_spectrum_rejects_nonuniform_grid_with_tiny_steps():
+    # Steps of 1e-9 and 5e-9 MHz differ by less than any fixed 1e-8.
+    with pytest.raises(ValueError, match="uniform"):
+        Spectrum(np.array([0.0, 1e-9, 6e-9, 7e-9]), np.zeros(4))
+
+
+def test_spectrum_accepts_grid_rounded_at_large_magnitude():
+    # Adding 1e9 MHz rounds each point by up to half an ulp of 1e9, far
+    # more than 1e-9 of the 0.1 MHz step.
+    spec = Spectrum(default_grid(), np.zeros(default_grid().size))
+    assert shift(spec, 1e9).grid[0] == 1e9
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectrum_rejects_nonfinite_intensity(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(np.arange(3.0), np.array([0.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["frequency", "weight", "intensity"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_synthesize_rejects_nonfinite_lines(column, bad):
+    columns = [[100.0, 110.0], [0.5, 0.5], [1.0, 1.0]]
+    columns[column][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        synthesize(_lines(*columns), default_grid())
+
+
+def test_synthesize_rejects_nonuniform_grid_before_kernel_work():
+    # The line is off this grid, so a grid check made only after the
+    # coverage warning (or after the kernel sum) fails here as a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="uniform"):
+            synthesize(_lines([80.0]), np.array([0.0, 1.0, 3.0]))
+
+
+def _dense_reference(freqs, mass, grid, width):
+    """Every line's Gaussian at every grid point, peak-normalized."""
+    sig = width / GAUSSIAN_FWHM_FACTOR
+    out = (mass[:, None] * np.exp(-((grid[None, :] - freqs[:, None]) ** 2)
+                                  / (2.0 * sig * sig))).sum(axis=0)
+    return out / out.max() if out.max() > 0 else out
+
+
+# A line: where it sits, a uniform draw that places it, and its weight.
+# "below"/"above" put it between 9 and about 40 sigma past the grid's ends.
+_LINE = st.tuples(
+    st.sampled_from(["inside", "low-edge", "high-edge", "below", "above"]),
+    st.floats(0.0, 1.0),
+    st.floats(1e-3, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(-100.0, 100.0),
+    log_step=st.floats(-2.0, 0.7),
+    count=st.integers(1, 300),
+    log_width=st.floats(-2.0, 2.0),
+    specs=st.lists(_LINE, min_size=1, max_size=8),
+)
+@example(start=0.0, log_step=0.0, count=50, log_width=2.0,
+         specs=[("inside", 0.3, 1.0), ("above", 0.0, 0.5)])          # W = n
+@example(start=5.0, log_step=-1.0, count=1, log_width=0.0,
+         specs=[("inside", 0.0, 1.0), ("below", 0.5, 0.2)])          # one point
+@example(start=0.0, log_step=-1.0, count=20, log_width=308.0,
+         specs=[("inside", 0.5, 1.0)])                    # 9 sigma overflows
+def test_synthesize_matches_dense_sum(start, log_step, count, log_width, specs):
+    step, width = 10.0 ** log_step, 10.0 ** log_width
+    grid = np.arange(start, start + (count - 0.5) * step, step)
+    assert grid.size == count
+    lo, hi = grid[0], grid[-1]
+    reach = (KERNEL_REACH + 1e-6) * width / GAUSSIAN_FWHM_FACTOR
+    place = {
+        "inside": lambda u: lo + u * (hi - lo),
+        "low-edge": lambda u: lo,
+        "high-edge": lambda u: hi,
+        "below": lambda u: lo - reach * (1.0 + 3.4 * u),
+        "above": lambda u: hi + reach * (1.0 + 3.4 * u),
+    }
+    freqs = np.array([place[where](u) for where, u, _ in specs])
+    mass = np.array([w for _, _, w in specs])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = synthesize(_lines(freqs, weights=mass), grid, per_line_width=width)
+    expected = _dense_reference(freqs, mass, grid, width)
+    np.testing.assert_allclose(spec.intensity, expected, rtol=0.0, atol=1e-12)
+
+
 def test_shift_linelist_moves_frequencies_and_records():
     lines = _lines([100.0, 120.0])
     moved = shift(shift(lines, -10.0), -5.0)
@@ -181,3 +276,26 @@ def test_write_spectrum_round_trip(tmp_path):
     data = np.loadtxt(path)
     assert data.shape == (grid.size, 2)
     assert data[:, 1].max() == pytest.approx(1.0)
+
+
+def test_writers_pin_exact_rows(tmp_path):
+    values = [123456789.5, 0.1 + 0.2, -3.5e-7, 1e-300]
+    lines = _lines(values, weights=[2.0 / 3.0, 0.25, 1e-300, 0.1 + 0.2],
+                   intensities=values[::-1])
+    path = tmp_path / "lines.tsv"
+    write_linelist(lines, path)
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    assert rows == [
+        "-3.5e-07 0.3 1e-300",
+        "1e-300 123456790 0.3",
+        "0.3 -3.5e-07 0.25",
+        "123456790 1e-300 0.666666667",
+    ]
+    spec = Spectrum(np.array([-3.5e-7, 0.1 + 0.2]), np.array([1e-300, 123456789.5]))
+    path = tmp_path / "spec.tsv"
+    write_spectrum(spec, path)
+    assert path.read_text().splitlines()[-3:] == [
+        "# frequency_MHz intensity",
+        "-3.5e-07 1e-300",
+        "0.3 123456790",
+    ]
