@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from defectspin import (
-    SolveSettings,
     apply_pattern,
     build_system,
     composite_lines,
@@ -46,7 +45,7 @@ def main():
             f"{stats.center:>10.1f}{stats.fwhm_gauss:>8.1f}"
         )
 
-    blended = peak_stats(composite_lines(system, patterns, FIELD, SolveSettings()))
+    blended = peak_stats(composite_lines(system, patterns, FIELD))
     print()
     print(
         f"abundance-weighted blend: center {blended.center:.1f} MHz, "

@@ -37,7 +37,6 @@ from .isotopes import (
 )
 from .isotopologues import (
     IsotopePattern,
-    SolveSettings,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
@@ -90,7 +89,6 @@ __all__ = [
     "NuclearSite",
     "OperatorTriple",
     "PeakStats",
-    "SolveSettings",
     "Spectrum",
     "SpinSystem",
     "ZeroFieldError",

@@ -33,10 +33,9 @@ from .energetics import (
     load_energy_records,
 )
 from .hamiltonian import DimensionError, build_hamiltonian
-from .isotopes import isotopes_of
+from .isotopes import isotopes_of, lookup
 from .isotopologues import (
     IsotopePattern,
-    SolveSettings,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
@@ -63,6 +62,7 @@ from .system import (
     DatasetError,
     SpinSystem,
     build_system,
+    dataset_path,
     dataset_version,
     find_defect,
     load_defect_dataset,
@@ -175,17 +175,13 @@ def _field(args) -> np.ndarray:
     return args.B * direction / np.linalg.norm(direction)
 
 
-def _dataset_path(args, name: str) -> str | None:
-    return os.path.join(args.data, name) if args.data else None
-
-
 def _resolve_system(args) -> SpinSystem:
     if args.system:
         with open(args.system) as fh:
             return SpinSystem.from_dict(json.load(fh))
     if not args.defect:
         raise UsageError("either --defect or --system is required")
-    records = load_defect_dataset(_dataset_path(args, "defects.json"))
+    records = load_defect_dataset(dataset_path("defects", args.data))
     record = find_defect(records, args.defect)
     return build_system(record, {"C": "13C"} if args.carbon13 else None)
 
@@ -198,11 +194,20 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
         if ":" not in chunk:
             raise UsageError(f"pattern chunk {chunk!r} is not 'isotope:count'")
         symbol, _, num = chunk.partition(":")
+        symbol = symbol.strip()
         try:
-            counts[symbol.strip()] = int(num)
+            count = int(num)
         except ValueError:
             raise UsageError(f"bad count in pattern chunk {chunk!r}") from None
-    elements = {sym.lstrip("0123456789") for sym in counts}
+        if count < 0:
+            raise UsageError(f"argument --pattern: count in {chunk!r} is negative")
+        if symbol in counts:
+            raise UsageError(f"argument --pattern: {symbol} appears more than once")
+        counts[symbol] = count
+    try:
+        elements = {lookup(symbol).element for symbol in counts}
+    except KeyError as exc:
+        raise UsageError(f"argument --pattern: {exc.args[0]}") from None
     if len(elements) != 1:
         raise UsageError("explicit patterns cover exactly one element")
     element = elements.pop()
@@ -224,19 +229,17 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
     return IsotopePattern(counts=((gid, ordered),), probability=1.0)
 
 
+def _perturbative(args, method: str) -> dict:
+    """Settings of a perturbative ``method``, as solver keywords."""
+    order, mode = PERTURBATIVE[method]
+    return dict(order=order, mode=mode, sample_count=args.samples, seed=args.seed)
+
+
 def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
     """Run ``method`` on ``system``; ``subset_terms`` extend hfi for hybrid."""
     field = _field(args)
     if method in PERTURBATIVE:
-        order, mode = PERTURBATIVE[method]
-        return sample_configurations(
-            system,
-            field,
-            order=order,
-            mode=mode,
-            sample_count=args.samples,
-            seed=args.seed,
-        )
+        return sample_configurations(system, field, **_perturbative(args, method))
     if method == "hybrid":
         indices = shell_indices(system, _SHELL_LADDER[args.exact_shell])
         if not indices:
@@ -258,12 +261,9 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
                 "--isotopes natural needs a perturbative method "
                 "(perturb1, perturb2 or a-constants)"
             )
-        order, mode = PERTURBATIVE[args.method]
-        settings = SolveSettings(
-            order=order, mode=mode, sample_count=args.samples, seed=args.seed
-        )
         patterns = enumerate_patterns(system, (args.element,))
-        return composite_lines(system, patterns, _field(args), settings)
+        settings = _perturbative(args, args.method)
+        return composite_lines(system, patterns, _field(args), **settings)
     if args.isotopes == "explicit":
         if not args.pattern:
             raise UsageError("--isotopes explicit needs --pattern")
@@ -277,7 +277,7 @@ def _export_meta(args) -> dict:
         value = getattr(args, dest)
         if value is not None:
             meta[key] = list(value) if isinstance(value, tuple) else value
-    meta["dataset_version"] = dataset_version(_dataset_path(args, "defects.json"))
+    meta["dataset_version"] = dataset_version(dataset_path("defects", args.data))
     return meta
 
 
@@ -314,8 +314,9 @@ def cmd_odmr(args) -> int:
     if args.shift:
         lines = shift(lines, args.shift)
     stats = peak_stats(lines, args.window)
+    meta = _export_meta(args)
     if args.format == "csv":
-        print("# " + json.dumps(_export_meta(args), sort_keys=True))
+        print("# " + json.dumps(meta, sort_keys=True))
         print("center_MHz,sigma_MHz,fwhm_MHz,included_weight_fraction")
         print(
             f"{stats.center:.9g},{stats.sigma:.9g},"
@@ -329,7 +330,6 @@ def cmd_odmr(args) -> int:
         print(f"sigma_MHz {stats.sigma:.9g}")
         print(f"fwhm_MHz {stats.fwhm_gauss:.9g}")
         print(f"included_weight_fraction {stats.included_weight_fraction:.9g}")
-    meta = _export_meta(args)
     if args.out_lines:
         write_linelist(lines, args.out_lines, extra_meta=meta)
     if args.out_spectrum:
@@ -386,42 +386,22 @@ def cmd_isotopes(args) -> int:
 
 
 def cmd_ctl(args) -> int:
-    path = args.records
-    if path is None and args.data:
-        path = os.path.join(args.data, "energies.json")
+    path = args.records or dataset_path("energies", args.data)
     records = load_energy_records(path)
     if not records:
-        raise UsageError(f"no energy records in {path or 'bundled dataset'}")
+        raise UsageError(f"no energy records in {path}")
     levels = defect_levels(records)
-    by_key = {}
-    order = []
-    for r in levels:
-        key = (r.label, r.transition)
-        if key not in order:
-            order.append(key)
-        by_key.setdefault(key, {})[r.corrected] = r
     rows = []
-    for key in order:
-        label, transition = key
-        pair = by_key[key]
-        corr = pair.get(True)
-        uncorr = pair.get(False)
-        flags = set()
-        for r in (corr, uncorr):
-            if r is None:
-                continue
-            if r.energy is None:
-                flags.add(r.flag or "unclear")
-            elif r.above_gap:
-                flags.add("above-gap")
+    # defect_levels emits each transition as an (uncorrected, corrected) pair.
+    for uncorr, corr in zip(levels[::2], levels[1::2]):
+        flags = {energetics._shown_flag(r) for r in (uncorr, corr)} - {"-"}
         rows.append(
             [
-                label,
-                transition,
-                "unclear" if corr is None or corr.energy is None
-                else f"{corr.energy:.2f}",
-                "-" if uncorr is None else f"{uncorr.energy:.2f}",
-                ",".join(sorted(flags)) if flags else "-",
+                corr.label,
+                corr.transition,
+                "unclear" if corr.energy is None else f"{corr.energy:.2f}",
+                f"{uncorr.energy:.2f}",
+                ",".join(sorted(flags)) or "-",
             ]
         )
     title = f"charge transition levels (eV, VBM = 0, CBM = {energetics.INDIRECT_GAP_EV})"
@@ -434,13 +414,8 @@ def cmd_ctl(args) -> int:
 
 
 def cmd_binding(args) -> int:
-    records_path = args.records
-    complexes_path = args.complexes
-    if args.data:
-        records_path = records_path or os.path.join(args.data, "energies.json")
-        complexes_path = complexes_path or os.path.join(args.data, "complexes.json")
-    records = load_energy_records(records_path)
-    table = load_complexes(complexes_path)
+    records = load_energy_records(args.records or dataset_path("energies", args.data))
+    table = load_complexes(args.complexes or dataset_path("complexes", args.data))
     neutral = {
         label: states[0]
         for label, states in group_records(records).items()
@@ -472,18 +447,15 @@ def cmd_binding(args) -> int:
 
 
 def cmd_export_dataset(args) -> int:
-    from .system import data_directory
-
-    source = args.data or data_directory()
     names = (
         ["defects", "energies", "complexes"] if args.what == "all" else [args.what]
     )
     os.makedirs(args.dest, exist_ok=True)
     for name in names:
-        src = os.path.join(source, f"{name}.json")
+        src = dataset_path(name, args.data)
         if not os.path.exists(src):
             raise DatasetError(f"dataset file not found: {src}")
-        dst = os.path.join(args.dest, f"{name}.json")
+        dst = dataset_path(name, args.dest)
         shutil.copyfile(src, dst)
         print(dst)
     return 0
@@ -514,7 +486,6 @@ def _add_spectroscopy(p: argparse.ArgumentParser):
 def build_parser() -> tuple[_Parser, dict]:
     parser = _Parser(prog="defectspin", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     p = sub.add_parser("odmr", help="solve one defect and report peak statistics")
     _add_spectroscopy(p)
@@ -542,13 +513,11 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out-lines", default=None, dest="out_lines")
     _add_common(p)
     p.set_defaults(func=cmd_odmr)
-    registry["odmr"] = p
 
     p = sub.add_parser("compare-methods", help="one row per solver approach")
     _add_spectroscopy(p)
     _add_common(p)
     p.set_defaults(func=cmd_compare_methods)
-    registry["compare-methods"] = p
 
     p = sub.add_parser("isotopes", help="per-pattern isotopologue statistics")
     _add_spectroscopy(p)
@@ -557,7 +526,6 @@ def build_parser() -> tuple[_Parser, dict]:
                    help="restrict to one explicit pattern, e.g. 11B:3")
     _add_common(p)
     p.set_defaults(func=cmd_isotopes)
-    registry["isotopes"] = p
 
     p = sub.add_parser("ctl", help="charge transition levels from energy records")
     p.add_argument("records", nargs="?", default=None,
@@ -565,14 +533,12 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--diagram", default=None, help="write plot-ready diagram text")
     _add_common(p)
     p.set_defaults(func=cmd_ctl)
-    registry["ctl"] = p
 
     p = sub.add_parser("binding", help="complex binding energies")
     p.add_argument("records", nargs="?", default=None)
     p.add_argument("--complexes", default=None, help="complex composition table")
     _add_common(p)
     p.set_defaults(func=cmd_binding)
-    registry["binding"] = p
 
     p = sub.add_parser("export-dataset", help="copy bundled data files")
     p.add_argument("--what", choices=("defects", "energies", "complexes", "all"),
@@ -580,9 +546,8 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--dest", default=".")
     _add_common(p)
     p.set_defaults(func=cmd_export_dataset)
-    registry["export-dataset"] = p
 
-    return parser, registry
+    return parser, sub.choices
 
 
 def _read_config(path: str) -> dict:
@@ -632,13 +597,13 @@ def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict)
 
 
 def main(argv=None) -> int:
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
             # Config values become the subcommand's defaults, so a second
             # parse lets every explicit flag win over them.
-            sub = registry[args.command]
+            sub = subparsers[args.command]
             document = _read_config(args.config)
             sub.set_defaults(**_config_defaults(sub, args.command, document))
             args = parser.parse_args(argv)

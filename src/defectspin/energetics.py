@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
-from .system import DatasetError, data_directory
+from .system import DatasetError, dataset_path
 
 INDIRECT_GAP_EV = 5.950     # hBN indirect gap; CBM reference for flagging
 
@@ -149,6 +148,12 @@ def defect_levels(records) -> list[CtlResult]:
     return results
 
 
+def _shown_flag(level: CtlResult) -> str:
+    """The flag reports print for a level: the record's own flag, else
+    ``above-gap`` for a level past the CBM, else ``-``."""
+    return level.flag or ("above-gap" if level.above_gap else "-")
+
+
 def ctl_diagram(records) -> str:
     """Plot-ready delimited text with both band edges and every level."""
     levels = defect_levels(records)
@@ -164,7 +169,7 @@ def ctl_diagram(records) -> str:
     for r in levels:
         variant = "corrected" if r.corrected else "uncorrected"
         value = "unclear" if r.energy is None else f"{r.energy:.3f}"
-        flag = r.flag or ("above-gap" if r.above_gap else "-")
+        flag = _shown_flag(r)
         lines.append(f"{r.label}\t{r.transition}\t{variant}\t{value}\t{flag}")
     return "\n".join(lines) + "\n"
 
@@ -195,7 +200,7 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
     ``label``, ``charge``, ``energy_eV``, ``correction_eV``, ``flag``.
     """
     if path is None:
-        path = os.path.join(data_directory(), "energies.json")
+        path = dataset_path("energies")
     try:
         with open(path) as fh:
             text = fh.read()
@@ -253,7 +258,7 @@ def load_complexes(path: str | None = None) -> dict:
     "constituents": [...]}, ...]}``.
     """
     if path is None:
-        path = os.path.join(data_directory(), "complexes.json")
+        path = dataset_path("complexes")
     try:
         with open(path) as fh:
             doc = json.load(fh)

@@ -91,12 +91,18 @@ def efg_to_quadrupole(efg: np.ndarray, isotope: Isotope) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
-    """Assembled Hamiltonian with its term mask and factor dimensions."""
+    """Assembled Hamiltonian with its term mask and factor dimensions;
+    ``ValueError`` unless the matrix is Hermitian to 1e-9 of its largest entry."""
 
     matrix: np.ndarray
     terms: frozenset
     dims: tuple[int, ...]           # (2, d_1, ..., d_K)
     field: np.ndarray
+
+    def __post_init__(self):
+        scale = max(float(np.abs(self.matrix).max()), 1e-30)
+        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-9 * scale:
+            raise ValueError("Hamiltonian must be Hermitian")
 
     @property
     def dimension(self) -> int:
@@ -178,7 +184,4 @@ def build_hamiltonian(
                         local += q[i, j] * (ops.component(i) @ ops.component(j))
             h += _embed({slot: local}, dims)
 
-    scale = max(float(np.abs(h).max()), 1e-30)
-    if np.abs(h - h.conj().T).max() > 1e-9 * scale:
-        raise AssertionError("assembled Hamiltonian is not Hermitian")
     return HamiltonianMatrix(matrix=h, terms=mask, dims=dims, field=b)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isotopes import isotopes_of, lookup
-from .solvers import ENUMERATION_THRESHOLD, LineList, MODE_FULL, sample_configurations
+from .solvers import LineList, MODE_FULL, sample_configurations
 from .system import SpinSystem
 
 PROBABILITY_FLOOR = 1e-4
@@ -81,35 +81,24 @@ def enumerate_patterns(
     to one over the enumeration.
     """
     variable = tuple(variable_elements)
-    groups: list[tuple[str, str, int]] = []       # (group_id, element, size)
-    for site, _ in system.sites:
-        if site.element not in variable:
-            continue
-        for g in groups:
-            if g[0] == site.group_id:
-                break
-        else:
-            groups.append((site.group_id, site.element, 0))
-    sized = []
-    for gid, element, _ in groups:
-        size = sum(1 for s, _ in system.sites if s.group_id == gid)
-        sized.append((gid, element, size))
     for element in variable:
         isotopes_of(element)                       # raises if unknown
-
-    per_group: list[list[tuple[GroupCounts, float]]] = []
-    for gid, element, size in sized:
-        isos = isotopes_of(element)
-        options = []
-        for counts in _compositions(size, len(isos)):
-            p = _group_probability(counts, [i.abundance for i in isos])
-            options.append(
-                (tuple((iso.symbol, c) for iso, c in zip(isos, counts)), p)
-            )
-        per_group.append(options)
+    sizes: dict[tuple[str, str], int] = {}        # (group_id, element) -> size
+    for site, _ in system.sites:
+        if site.element in variable:
+            key = (site.group_id, site.element)
+            sizes[key] = sizes.get(key, 0) + 1
 
     patterns = [IsotopePattern(counts=(), probability=1.0)]
-    for (gid, _, _), options in zip(sized, per_group):
+    for (gid, element), size in sizes.items():
+        isos = isotopes_of(element)
+        options = [
+            (
+                tuple((iso.symbol, c) for iso, c in zip(isos, counts)),
+                _group_probability(counts, [i.abundance for i in isos]),
+            )
+            for counts in _compositions(size, len(isos))
+        ]
         patterns = [
             IsotopePattern(
                 counts=base.counts + ((gid, counts),),
@@ -172,30 +161,22 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
     return SpinSystem(label, tuple(new_sites), system.g_tensor)
 
 
-@dataclass(frozen=True)
-class SolveSettings:
-    """Perturbative-solver settings shared by composite runs."""
-
-    order: int = 2
-    mode: str = MODE_FULL
-    sample_count: int = 100_000
-    seed: int = 0
-    enumeration_threshold: int = ENUMERATION_THRESHOLD
-    probability_floor: float = PROBABILITY_FLOOR
-
-
 def composite_lines(
     system: SpinSystem,
     patterns,
     field,
-    settings: SolveSettings = SolveSettings(),
+    order: int = 2,
+    mode: str = MODE_FULL,
+    sample_count: int = 100_000,
+    seed: int = 0,
 ) -> LineList:
     """Abundance-weighted merge of per-pattern line lists.
 
-    Patterns below ``settings.probability_floor`` are skipped; the skipped
-    probability mass is reported in the result metadata. Each pattern gets
-    a child seed derived from the configured seed and its index, so the
-    merged list is deterministic for any evaluation order.
+    Each pattern is solved by ``sample_configurations`` with ``order``,
+    ``mode`` and ``sample_count``. Patterns below ``PROBABILITY_FLOOR`` are
+    skipped; the skipped probability mass is reported in the result
+    metadata. Each pattern gets a child seed derived from ``seed`` and its
+    index, so the merged list is deterministic for any evaluation order.
     """
     patterns = list(patterns)
     total_p = sum(p.probability for p in patterns)
@@ -205,18 +186,17 @@ def composite_lines(
     skipped = 0.0
     solved = 0
     for k, pattern in enumerate(patterns):
-        if pattern.probability < settings.probability_floor:
+        if pattern.probability < PROBABILITY_FLOOR:
             skipped += pattern.probability
             continue
         concrete = apply_pattern(system, pattern)
         lines = sample_configurations(
             concrete,
             field,
-            order=settings.order,
-            mode=settings.mode,
-            sample_count=settings.sample_count,
-            seed=[settings.seed, k],
-            enumeration_threshold=settings.enumeration_threshold,
+            order=order,
+            mode=mode,
+            sample_count=sample_count,
+            seed=[seed, k],
         )
         freqs.append(lines.frequencies)
         intens.append(lines.intensities)
@@ -232,9 +212,9 @@ def composite_lines(
             "patterns_solved": solved,
             "patterns_skipped": len(patterns) - solved,
             "skipped_probability": skipped,
-            "order": settings.order,
-            "mode": settings.mode,
-            "seed": settings.seed,
+            "order": order,
+            "mode": mode,
+            "seed": seed,
         },
     )
     return merged.sorted()

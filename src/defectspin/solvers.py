@@ -29,7 +29,6 @@ from functools import reduce
 import numpy as np
 
 from .hamiltonian import (
-    DIMENSION_CAP,
     HamiltonianMatrix,
     build_hamiltonian,
     normalize_terms,
@@ -207,11 +206,7 @@ def exact_transitions(
     dims = (2,) + system.site_dimensions()
     if dims != h.dims:
         raise ValueError("system does not match the Hamiltonian's factor layout")
-    matrix = h.matrix
-    scale = max(float(np.abs(matrix).max()), 1e-30)
-    if np.abs(matrix - matrix.conj().T).max() > 1e-9 * scale:
-        raise ValueError("Hamiltonian must be Hermitian")
-    energies, states = np.linalg.eigh(matrix)
+    energies, states = np.linalg.eigh(h.matrix)
     sx = _embed({0: spin_operators(0.5).jx}, dims)
     moments = np.abs(states.conj().T @ sx @ states) ** 2
     ii, fi = np.triu_indices(len(energies), k=1)   # E_f >= E_i pairs, f > i
@@ -231,15 +226,8 @@ def exact_transitions(
     )
 
 
-def _normalize_selection(system: SpinSystem, selector) -> tuple[int, ...]:
-    if callable(selector):
-        picked = [
-            i
-            for i, (site, iso) in enumerate(system.sites)
-            if selector(site, iso)
-        ]
-    else:
-        picked = [int(i) for i in selector]
+def _normalize_selection(system: SpinSystem, indices) -> tuple[int, ...]:
+    picked = [int(i) for i in indices]
     if len(picked) != len(set(picked)):
         raise ValueError("exact-site selection contains duplicates")
     for i in picked:
@@ -264,8 +252,6 @@ def hybrid_solve(
     subset_terms=("hfi", "nzi"),
     order: int = 2,
     mode: str = MODE_FULL,
-    intensity_floor: float = INTENSITY_FLOOR,
-    dimension_cap: int = DIMENSION_CAP,
 ) -> LineList:
     """Exact diagonalization on a site subset, perturbation for the rest.
 
@@ -283,8 +269,8 @@ def hybrid_solve(
     rest = [i for i in range(len(system.sites)) if i not in selection]
     _, tables = _shift_tables(system, field, order, mode, rest)
     subsystem = system.subsystem(selection, label_suffix=":exact-subset")
-    h = build_hamiltonian(subsystem, field, terms=mask, dimension_cap=dimension_cap)
-    exact = exact_transitions(h, subsystem, intensity_floor=intensity_floor)
+    h = build_hamiltonian(subsystem, field, terms=mask)
+    exact = exact_transitions(h, subsystem)
     if not rest:
         exact.meta.update(exact_sites=selection, method_detail="all sites exact")
         return exact
@@ -327,9 +313,7 @@ def sample_configurations(
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    total = 1
-    for d in system.site_dimensions():
-        total *= d
+    total = system.dimension // 2
     if total <= enumeration_threshold:
         lines = perturb_lines(system, field, order=order, mode=mode)
         lines.meta.update(sampled=False, seed=seed)

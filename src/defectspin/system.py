@@ -102,13 +102,15 @@ class NuclearSite:
         if not math.isclose(float(np.linalg.det(f)), 1.0, abs_tol=1e-10):
             raise ValueError("frame must be a proper rotation (det +1)")
         if self.efg is not None:
-            v = _readonly(self.efg)
-            object.__setattr__(self, "efg", v)
+            v = np.asarray(self.efg, dtype=float)
             scale = max(float(np.abs(v).max()), 1e-30)
             if np.abs(v - v.T).max() > 1e-6 * scale:
                 raise ValueError("efg must be symmetric")
             if abs(float(np.trace(v))) > 1e-6 * scale:
                 raise ValueError("efg must be traceless")
+            # Store the symmetric part: the Hamiltonian built from it must be
+            # Hermitian to 1e-9, tighter than the 1e-6 accepted above.
+            object.__setattr__(self, "efg", _readonly((v + v.T) / 2.0))
 
     def hyperfine_tensor(self) -> np.ndarray:
         """Full 3x3 hyperfine tensor in the crystal frame, MHz."""
@@ -280,9 +282,15 @@ def data_directory() -> str:
     return os.path.join(os.path.dirname(__file__), "data")
 
 
+def dataset_path(name: str, directory: str | None = None) -> str:
+    """Path of dataset file ``name`` (``"defects"``, ``"energies"`` or
+    ``"complexes"``) in ``directory``, by default ``data_directory()``."""
+    return os.path.join(directory or data_directory(), f"{name}.json")
+
+
 def dataset_version(path: str | None = None) -> str:
     try:
-        with open(path or os.path.join(data_directory(), "defects.json")) as fh:
+        with open(path or dataset_path("defects")) as fh:
             return str(json.load(fh).get("version", "unversioned"))
     except OSError:
         return "unversioned"
@@ -298,7 +306,7 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
     core_contribution?, efg?}``.
     """
     if path is None:
-        path = os.path.join(data_directory(), "defects.json")
+        path = dataset_path("defects")
     try:
         with open(path) as fh:
             try:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from defectspin.cli import main
+from defectspin.system import build_system, find_defect, load_defect_dataset
 
 
 def _run(capsys, argv):
@@ -159,10 +160,15 @@ def test_exact_method_respects_dimension_cap(capsys):
         ["odmr", "--direction", "nan,0,1"],
         ["odmr", "--direction", "0,0,0"],
         ["compare-methods", "--samples", "0", "--format", "csv"],
+        ["odmr", "--pattern", "12B:3", "--isotopes", "explicit"],
+        ["isotopes", "--pattern", "12B:3"],
+        ["odmr", "--pattern", "11B:-1,10B:4", "--isotopes", "explicit"],
+        ["odmr", "--pattern", "11B:1,11B:2", "--isotopes", "explicit"],
     ],
     ids=[
         "zero-step", "negative-step", "nan-field", "nan-direction", "zero-direction",
-        "zero-samples",
+        "zero-samples", "unregistered-isotope", "isotopes-unregistered-isotope",
+        "negative-count", "repeated-isotope",
     ],
 )
 def test_bad_input_exits_one_before_output(capsys, tmp_path, argv):
@@ -173,6 +179,22 @@ def test_bad_input_exits_one_before_output(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1
     assert f"argument {flags[0]}" in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_exact_method_accepts_nearly_symmetric_efg(capsys, tmp_path):
+    # NuclearSite accepts an EFG asymmetric to 1e-6 of its largest entry;
+    # the exact Hamiltonian built from it must still count as Hermitian.
+    system = build_system(find_defect(load_defect_dataset(), "CN0"))
+    data = system.subsystem([1, 2, 3]).to_dict()         # the first shell
+    efg = data["sites"][0]["efg"]
+    efg[0][1], efg[1][0] = 5.0, 5.0 + 2e-5
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(
+        capsys, ["odmr", "--system", str(path), "--method", "exact", "--nqi"]
+    )
+    assert code == 0, err
+    assert "center_MHz" in out
 
 
 def test_bad_window_exits_one(capsys):
@@ -322,12 +344,19 @@ def test_ctl_diagram_file(capsys, tmp_path):
 
 def test_ctl_accepts_text_records(capsys, tmp_path):
     path = tmp_path / "records.dat"
-    path.write_text("D 0 -10.0\nD 1 -14.11 0.30\n")
-    code, out, _ = _run(capsys, ["ctl", str(path), "--format", "csv"])
+    path.write_text("D 0 -10.0\nD 1 -14.11 0.30\nE 0 -10.0\nE 1 -14.11 0.30 tentative\n")
+    diagram = tmp_path / "diagram.tsv"
+    code, out, _ = _run(
+        capsys, ["ctl", str(path), "--format", "csv", "--diagram", str(diagram)]
+    )
     assert code == 0
-    row = out.splitlines()[1].split(",")
+    row, flagged = [ln.split(",") for ln in out.splitlines()[1:]]
     assert row[0] == "D"
     assert float(row[2]) == pytest.approx(3.81)
+    assert row[4] == "-"
+    # The table shows the record's flag, as the diagram does.
+    assert flagged == ["E", "(+1|0)", "3.81", "4.11", "tentative"]
+    assert "E\t(+1|0)\tcorrected\t3.810\ttentative" in diagram.read_text()
 
 
 def test_binding_table(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from defectspin.hamiltonian import (
     DimensionError,
+    HamiltonianMatrix,
     build_hamiltonian,
     efg_to_quadrupole,
     normalize_terms,
@@ -158,6 +159,12 @@ def test_hamiltonian_is_hermitian():
     sub = cn.subsystem((0, 1, 2))
     h = build_hamiltonian(sub, np.array([17.0, -5.0, 33.0]))
     np.testing.assert_allclose(h.matrix, h.matrix.conj().T, atol=1e-9)
+
+
+def test_non_hermitian_matrix_rejected():
+    matrix = np.array([[1.0, 2.0], [0.0, -1.0]], dtype=complex)
+    with pytest.raises(ValueError, match="Hermitian"):
+        HamiltonianMatrix(matrix, frozenset({"ezi"}), (2,), FIELD)
 
 
 def test_unknown_term_rejected():

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectspin.isotopes import lookup
 from defectspin.isotopologues import (
-    SolveSettings,
+    PROBABILITY_FLOOR,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
     rescale_hyperfine,
 )
+from defectspin.solvers import MODE_ACONST, MODE_FULL
 from defectspin.spectrum import peak_stats
 from defectspin.system import build_system, find_defect, load_defect_dataset
 
@@ -127,7 +132,7 @@ def test_apply_pattern_leaves_other_elements_untouched():
 def test_composite_lines_weights_carry_probability():
     system = _load("CN0")
     patterns = enumerate_patterns(system)
-    lines = composite_lines(system, patterns, FIELD, SolveSettings())
+    lines = composite_lines(system, patterns, FIELD)
     assert lines.total_weight == pytest.approx(
         sum(p.probability for p in patterns), abs=1e-9
     )
@@ -140,9 +145,8 @@ def test_composite_skips_below_probability_floor():
     system = _load("CB0")
     patterns = enumerate_patterns(system)
     rare = min(p.probability for p in patterns)
-    settings = SolveSettings(sample_count=2000)
-    lines = composite_lines(system, patterns, FIELD, settings)
-    assert rare < settings.probability_floor
+    lines = composite_lines(system, patterns, FIELD, sample_count=2000)
+    assert rare < PROBABILITY_FLOOR
     assert lines.meta["skipped_probability"] == pytest.approx(rare, rel=1e-9)
     assert lines.meta["patterns_skipped"] == 1
     assert lines.total_weight == pytest.approx(1.0 - rare, abs=1e-9)
@@ -151,9 +155,8 @@ def test_composite_skips_below_probability_floor():
 def test_composite_is_deterministic():
     system = _load("CB0")
     patterns = enumerate_patterns(system)
-    settings = SolveSettings(sample_count=2000, seed=11)
-    a = composite_lines(system, patterns, FIELD, settings)
-    b = composite_lines(system, patterns, FIELD, settings)
+    a = composite_lines(system, patterns, FIELD, sample_count=2000, seed=11)
+    b = composite_lines(system, patterns, FIELD, sample_count=2000, seed=11)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -163,11 +166,34 @@ def test_composite_rejects_inconsistent_probabilities():
     patterns = enumerate_patterns(system)
     doubled = patterns + patterns
     with pytest.raises(ValueError):
-        composite_lines(system, doubled, FIELD, SolveSettings())
+        composite_lines(system, doubled, FIELD)
 
 
-def test_solve_settings_defaults():
-    settings = SolveSettings()
-    assert settings.order == 2
-    assert settings.sample_count == 100_000
-    assert settings.probability_floor == pytest.approx(1e-4)
+def test_composite_lines_defaults():
+    parameters = inspect.signature(composite_lines).parameters.values()
+    defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
+    assert defaults == {"order": 2, "mode": MODE_FULL, "sample_count": 100_000, "seed": 0}
+    assert PROBABILITY_FLOOR == pytest.approx(1e-4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    label=st.sampled_from(["CN0", "CB0"]),
+    magnitude=st.floats(30.0, 300.0),
+    direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+        lambda v: np.linalg.norm(v) > 0.1
+    ),
+    order=st.sampled_from([1, 2]),
+    mode=st.sampled_from([MODE_FULL, MODE_ACONST]),
+)
+def test_composite_weights_conserve_probability(label, magnitude, direction, order, mode):
+    system = _load(label)
+    field = magnitude * np.array(direction) / np.linalg.norm(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")          # strong-coupling warnings
+        lines = composite_lines(
+            system, enumerate_patterns(system), field, order=order, mode=mode,
+            sample_count=2000,
+        )
+    skipped = lines.meta["skipped_probability"]
+    assert lines.total_weight == pytest.approx(1.0 - skipped, abs=1e-9)

@@ -189,12 +189,6 @@ def test_hybrid_weights_multiply_through_convolution():
     assert lines.weights.max() == pytest.approx(1.0 / 4096)
 
 
-def test_hybrid_accepts_predicate_selector():
-    system = _load("CN0")
-    lines = hybrid_solve(system, lambda site, iso: site.element == "B", FIELD)
-    assert tuple(lines.meta["exact_sites"]) == shell_indices(system)
-
-
 def test_hybrid_rejects_duplicate_sites():
     system = _load("CN0")
     with pytest.raises(ValueError, match="duplicate"):

@@ -299,3 +299,60 @@ def test_writers_pin_exact_rows(tmp_path):
         "-3.5e-07 1e-300",
         "0.3 123456790",
     ]
+
+
+# A line for the peak_stats properties: a frequency slot (5 MHz apart, so
+# lines often coincide and some fall below the 30 MHz window floor), a
+# weight and an intensity.
+_STICK = st.tuples(st.integers(0, 30), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+
+
+def _stats_tuple(lines, window):
+    try:
+        stats = peak_stats(lines, window)
+    except ValueError:
+        return None
+    return stats.center, stats.sigma, stats.fwhm_gauss, stats.included_weight_fraction
+
+
+def _assert_same_stats(actual, expected):
+    if expected is None:
+        assert actual is None
+    else:
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sticks=st.lists(_STICK, min_size=1, max_size=40),
+    window=st.sampled_from([DEFAULT_WINDOW, (-math.inf, math.inf), (40.0, 90.0)]),
+    data=st.data(),
+)
+def test_peak_stats_independent_of_line_order(sticks, window, data):
+    freqs = np.array([5.0 * k + 0.1 for k, _, _ in sticks])
+    weights = np.array([w for _, w, _ in sticks])
+    intens = np.array([i for _, _, i in sticks])
+    order = np.array(data.draw(st.permutations(range(len(sticks)))))
+    permuted = _lines(freqs[order], weights=weights[order], intensities=intens[order])
+    _assert_same_stats(
+        _stats_tuple(permuted, window),
+        _stats_tuple(_lines(freqs, weights=weights, intensities=intens), window),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sticks=st.lists(_STICK, min_size=1, max_size=40),
+    window=st.sampled_from([DEFAULT_WINDOW, (-math.inf, math.inf), (40.0, 90.0)]),
+)
+def test_peak_stats_invariant_when_coincident_lines_merge(sticks, window):
+    freqs = np.array([5.0 * k + 0.1 for k, _, _ in sticks])
+    mass = np.array([w * i for _, w, i in sticks])
+    weights = np.array([w for _, w, _ in sticks])
+    intens = np.array([i for _, _, i in sticks])
+    unique, slot = np.unique(freqs, return_inverse=True)
+    merged = _lines(unique, weights=np.bincount(slot, weights=mass))
+    _assert_same_stats(
+        _stats_tuple(merged, window),
+        _stats_tuple(_lines(freqs, weights=weights, intensities=intens), window),
+    )

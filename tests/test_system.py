@@ -79,6 +79,16 @@ def test_site_rejects_nonsymmetric_efg():
         NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=efg)
 
 
+def test_site_stores_symmetric_part_of_efg():
+    symmetric = np.array([[1.0, 5.0, 0.3], [5.0, 2.0, -0.7], [0.3, -0.7, -3.0]])
+    site = NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=symmetric)
+    assert site.efg.tobytes() == symmetric.tobytes()
+    nearly = symmetric.copy()
+    nearly[1, 0] += 2e-6
+    site = NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=nearly)
+    np.testing.assert_array_equal(site.efg, site.efg.T)
+
+
 def test_site_rejects_traceful_efg():
     with pytest.raises(ValueError):
         NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=np.eye(3))
