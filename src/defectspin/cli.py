@@ -394,14 +394,13 @@ def cmd_ctl(args) -> int:
     rows = []
     # defect_levels emits each transition as an (uncorrected, corrected) pair.
     for uncorr, corr in zip(levels[::2], levels[1::2]):
-        flags = {energetics._shown_flag(r) for r in (uncorr, corr)} - {"-"}
         rows.append(
             [
                 corr.label,
                 corr.transition,
                 "unclear" if corr.energy is None else f"{corr.energy:.2f}",
                 f"{uncorr.energy:.2f}",
-                ",".join(sorted(flags)) or "-",
+                energetics._shown_flag(uncorr, corr),
             ]
         )
     title = f"charge transition levels (eV, VBM = 0, CBM = {energetics.INDIRECT_GAP_EV})"

@@ -148,10 +148,13 @@ def defect_levels(records) -> list[CtlResult]:
     return results
 
 
-def _shown_flag(level: CtlResult) -> str:
-    """The flag reports print for a level: the record's own flag, else
-    ``above-gap`` for a level past the CBM, else ``-``."""
-    return level.flag or ("above-gap" if level.above_gap else "-")
+def _shown_flag(*levels: CtlResult) -> str:
+    """The flags reports print for one or more levels: each record's own
+    flag and ``above-gap`` for a level past the CBM, sorted and joined with
+    ``+`` (one CSV cell), else ``-``."""
+    flags = {r.flag for r in levels if r.flag}
+    flags.update("above-gap" for r in levels if r.above_gap)
+    return "+".join(sorted(flags)) or "-"
 
 
 def ctl_diagram(records) -> str:

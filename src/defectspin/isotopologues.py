@@ -10,13 +10,18 @@ another of the same element.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .isotopes import isotopes_of, lookup
-from .solvers import LineList, MODE_FULL, sample_configurations
+from .solvers import (
+    LineList,
+    MODE_FULL,
+    _compositions,
+    _multinomial,
+    sample_configurations,
+)
 from .system import SpinSystem
 
 PROBABILITY_FLOOR = 1e-4
@@ -46,26 +51,8 @@ class IsotopePattern:
         return "+".join(parts) if parts else "reference"
 
 
-def _compositions(total: int, bins: int):
-    """All count vectors of length ``bins`` summing to ``total``.
-
-    Ordered with the first bin descending, so two-isotope groups come out
-    as (n, 0), (n-1, 1), ..., (0, n).
-    """
-    if bins == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, bins - 1):
-            yield (first,) + rest
-
-
 def _group_probability(counts, abundances) -> float:
-    total = sum(counts)
-    coef = math.factorial(total)
-    for c in counts:
-        coef //= math.factorial(c)
-    p = float(coef)
+    p = float(_multinomial(counts))
     for c, a in zip(counts, abundances):
         p *= a**c
     return p
@@ -135,28 +122,28 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
     ``count`` sites take the first listed isotope and so on. With
     equivalent sites any ordering gives the same line statistics.
     """
-    assignment: dict[str, list[str]] = {}
+    # Keyed like enumerate_patterns' groups: sites of another element that
+    # share a group id (or all carry the default "") keep their isotopes.
+    assignment: dict[tuple[str, str], list[str]] = {}
     for gid, counts in pattern.counts:
-        symbols = []
-        for symbol, count in counts:
-            symbols.extend([symbol] * count)
-        assignment[gid] = symbols
-    cursor = {gid: 0 for gid in assignment}
+        element = lookup(counts[0][0]).element
+        assignment[(gid, element)] = [s for s, count in counts for _ in range(count)]
+    cursor = dict.fromkeys(assignment, 0)
     new_sites = []
     for site, iso in system.sites:
-        if site.group_id in assignment:
-            idx = cursor[site.group_id]
-            cursor[site.group_id] += 1
-            symbol = assignment[site.group_id][idx]
+        key = (site.group_id, site.element)
+        if key in assignment:
+            symbol = assignment[key][cursor[key]]
+            cursor[key] += 1
             if symbol != iso.symbol:
                 new_iso = lookup(symbol)
                 pv = tuple(rescale_hyperfine(site.principal_values, iso, new_iso))
                 site = dataclasses.replace(site, principal_values=pv)
                 iso = new_iso
         new_sites.append((site, iso))
-    for gid, symbols in assignment.items():
-        if cursor[gid] != len(symbols):
-            raise ValueError(f"pattern counts for group {gid} exceed its size")
+    for key, symbols in assignment.items():
+        if cursor[key] != len(symbols):
+            raise ValueError(f"pattern counts for group {key[0]} exceed its size")
     label = f"{system.label}[{pattern.describe()}]"
     return SpinSystem(label, tuple(new_sites), system.g_tensor)
 
@@ -173,10 +160,13 @@ def composite_lines(
     """Abundance-weighted merge of per-pattern line lists.
 
     Each pattern is solved by ``sample_configurations`` with ``order``,
-    ``mode`` and ``sample_count``. Patterns below ``PROBABILITY_FLOOR`` are
-    skipped; the skipped probability mass is reported in the result
-    metadata. Each pattern gets a child seed derived from ``seed`` and its
-    index, so the merged list is deterministic for any evaluation order.
+    ``mode`` and ``sample_count``: an enumerated pattern adds one line per
+    count-level class, a sampled one a line per draw, each weighted by the
+    pattern probability. The lists are concatenated pattern by pattern, not
+    sorted. Patterns below ``PROBABILITY_FLOOR`` are skipped; the skipped
+    probability mass is reported in the result metadata. Each pattern gets
+    a child seed derived from ``seed`` and its index, so the merged list is
+    deterministic for any evaluation order.
     """
     patterns = list(patterns)
     total_p = sum(p.probability for p in patterns)
@@ -217,4 +207,4 @@ def composite_lines(
             "seed": seed,
         },
     )
-    return merged.sorted()
+    return merged

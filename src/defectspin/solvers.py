@@ -1,9 +1,11 @@
 """Resonance line lists: exact, perturbative, hybrid and sampled solvers.
 
 Every solver returns a ``LineList`` whose entries carry a frequency (MHz),
-an intensity (transition moment, dimensionless) and a weight (nuclear
-configuration or isotopologue probability). Peak statistics always come
-from the line list itself, never from a rendered spectrum.
+an intensity (transition moment, dimensionless) and a weight (the
+probability of its class of nuclear configurations, or of its draw when
+sampled, times the isotopologue probability in a composite). Peak
+statistics always come from the line list itself, never from a rendered
+spectrum.
 
 The perturbative path treats each nucleus independently. With the
 electron quantized along n (the direction of g^T B), a site with crystal
@@ -22,9 +24,10 @@ the exact and hybrid paths.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +43,8 @@ from .system import SpinSystem
 
 INTENSITY_FLOOR = 1e-6          # relative to the strongest line
 ENUMERATION_THRESHOLD = 10**6   # configurations; beyond this, sample
+# Sites whose shift tables agree this closely (MHz) are counted as one group.
+_SHIFT_TOLERANCE = 1e-9
 
 MODE_FULL = "full_tensor"
 MODE_ACONST = "a_constants"
@@ -69,6 +74,11 @@ class LineList:
             self.frequencies.shape == self.intensities.shape == self.weights.shape
         ):
             raise ValueError("frequency/intensity/weight arrays must align")
+        for name in ("frequencies", "intensities", "weights"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"line {name} must be finite")
+        if (self.intensities < 0).any() or (self.weights < 0).any():
+            raise ValueError("line intensities and weights must be non-negative")
 
     def __len__(self) -> int:
         return self.frequencies.size
@@ -167,28 +177,96 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
     return nu_e, tables
 
 
+def _compositions(total: int, bins: int):
+    """All count vectors of length ``bins`` summing to ``total``.
+
+    Ordered with the first bin descending, so two-bin groups come out
+    as (n, 0), (n-1, 1), ..., (0, n).
+    """
+    if bins == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in _compositions(total - first, bins - 1):
+            yield (first,) + rest
+
+
+def _multinomial(counts) -> int:
+    """Ways to deal sum(counts) distinct sites into bins of these sizes."""
+    coef = math.factorial(sum(counts))
+    for c in counts:
+        coef //= math.factorial(c)
+    return coef
+
+
+@lru_cache(maxsize=128)          # (group size, projections) pairs
+def _group_classes(size: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every composition of ``size`` sites into ``bins`` projections (one
+    row each) with its probability when each site picks uniformly."""
+    compositions = list(_compositions(size, bins))
+    counts = np.array(compositions, dtype=float)
+    probs = np.array([_multinomial(c) / bins**size for c in compositions])
+    counts.flags.writeable = probs.flags.writeable = False
+    return counts, probs
+
+
+def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
+    """Distribution of the summed shift of independent, uniform sites.
+
+    Sites whose tables agree within ``_SHIFT_TOLERANCE`` form one group,
+    built from the mean of its tables so the first moment stays exact. A
+    group of k sites with d projections gives one class per composition c
+    of k into d bins: shift sum_j c_j t_j, probability k!/prod_j c_j! / d^k.
+    Groups combine by outer sum (shifts add, probabilities multiply).
+    Returns ``(shifts, probabilities)`` in no particular order.
+    """
+    groups: list[list[np.ndarray]] = []
+    for table in tables:
+        for members in groups:
+            head = members[0]
+            if head.shape == table.shape and (
+                np.abs(head - table).max() <= _SHIFT_TOLERANCE
+            ):
+                members.append(table)
+                break
+        else:
+            groups.append([table])
+    shifts, probs = np.zeros(1), np.ones(1)
+    for members in groups:
+        counts, p = _group_classes(len(members), members[0].size)
+        table = members[0] if len(members) == 1 else np.mean(members, axis=0)
+        shifts = np.add.outer(shifts, counts @ table).ravel()
+        probs = np.multiply.outer(probs, p).ravel()
+    return shifts, probs
+
+
 def perturb_lines(
     system: SpinSystem, field, order: int = 2, mode: str = MODE_FULL
 ) -> LineList:
-    """Enumerate nuclear projection configurations perturbatively.
+    """Shift distribution of the nuclear projections, perturbatively.
 
-    Each configuration (m_1 ... m_K) yields one line of unit intensity and
-    weight 1/prod(2I_k + 1). ``mode`` selects the full crystal-frame
+    Each nucleus picks its projection m uniformly and independently. Sites
+    with the same shift table are counted together, so each line is one
+    count-level class of configurations: unit intensity, weight equal to
+    the class probability. ``meta["configurations"]`` is the number of
+    configurations, prod(2I_k + 1). ``mode`` selects the full crystal-frame
     tensors or the diagonal principal-value simplification.
     """
     nu_e, tables = _shift_tables(
         system, field, order, mode, range(len(system.sites))
     )
-    total = reduce(np.add.outer, tables, np.zeros(())).ravel()
-    freqs = nu_e + total
-    count = total.size
+    shifts, probs = _shift_distribution(tables)
     return LineList(
         method=f"perturb{order}",
         field=field,
-        frequencies=freqs,
-        intensities=np.ones(count),
-        weights=np.full(count, 1.0 / count),
-        meta={"mode": mode, "order": order},
+        frequencies=nu_e + shifts,
+        intensities=np.ones(shifts.size),
+        weights=probs,
+        meta={
+            "mode": mode,
+            "order": order,
+            "configurations": math.prod(t.size for t in tables),
+        },
     )
 
 
@@ -256,9 +334,11 @@ def hybrid_solve(
     """Exact diagonalization on a site subset, perturbation for the rest.
 
     The electron plus the selected sites are diagonalized with EZI plus
-    ``subset_terms``; every exact line is then convolved with the shift
-    distribution of the remaining sites (frequencies add, weights
-    multiply). Lines below the 30 MHz analysis floor stay in the list;
+    ``subset_terms``; every exact line is then convolved with the
+    count-level shift distribution of the remaining sites, as in
+    ``perturb_lines`` (frequencies add, weights multiply), so there is one
+    line per exact line and class. ``meta["configurations"]`` counts the
+    remaining sites' configurations. Lines below the 30 MHz analysis floor stay in the list;
     windowing is the statistics layer's job. ``order`` and ``mode`` are
     checked, and zero field rejected, even when every site is exact.
     """
@@ -274,24 +354,21 @@ def hybrid_solve(
     if not rest:
         exact.meta.update(exact_sites=selection, method_detail="all sites exact")
         return exact
-    shifts = reduce(np.add.outer, tables, np.zeros(())).ravel()
-    combo_weight = 1.0 / shifts.size
-    freqs = np.add.outer(exact.frequencies, shifts).ravel()
-    intens = np.repeat(exact.intensities, shifts.size)
-    weights = np.repeat(exact.weights, shifts.size) * combo_weight
+    shifts, probs = _shift_distribution(tables)
     return LineList(
         method="hybrid",
         field=field,
-        frequencies=freqs,
-        intensities=intens,
-        weights=weights,
+        frequencies=np.add.outer(exact.frequencies, shifts).ravel(),
+        intensities=np.repeat(exact.intensities, shifts.size),
+        weights=np.multiply.outer(exact.weights, probs).ravel(),
         meta={
             "exact_sites": selection,
             "subset_terms": sorted(mask),
             "order": order,
             "mode": mode,
+            "configurations": math.prod(t.size for t in tables),
         },
-    ).sorted()
+    )
 
 
 def sample_configurations(
@@ -305,11 +382,13 @@ def sample_configurations(
 ) -> LineList:
     """Perturbative lines, enumerated when feasible and sampled otherwise.
 
-    Below ``enumeration_threshold`` configurations this delegates to
-    ``perturb_lines`` and the result is identical to full enumeration.
-    Beyond it, ``sample_count`` configurations are drawn uniformly with a
-    deterministic generator: a fixed seed reproduces the line list bit for
-    bit.
+    Up to ``enumeration_threshold`` configurations (counted raw, before
+    ``perturb_lines`` groups them into classes) this delegates to
+    ``perturb_lines``: one line per count-level class, with the exact
+    distribution of the full enumeration. Beyond it, ``sample_count``
+    configurations are drawn uniformly with a deterministic generator, one
+    line each of weight 1/sample_count: a fixed seed reproduces the line
+    list bit for bit.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")

@@ -359,6 +359,43 @@ def test_ctl_accepts_text_records(capsys, tmp_path):
     assert "E\t(+1|0)\tcorrected\t3.810\ttentative" in diagram.read_text()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["odmr", "--isotopes", "natural"], ["isotopes"]],
+    ids=["odmr-natural", "isotopes"],
+)
+def test_system_file_without_group_ids_matches_defect(capsys, tmp_path, command):
+    # Without group ids every site shares the default group "", so only the
+    # element tells the boron sites from the carbon and nitrogen ones.
+    data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
+    for site in data["sites"]:
+        del site["group_id"]
+    path = tmp_path / "cn0.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, [*command, "--system", str(path)])
+    assert (code, err) == (0, "")
+    _, reference, _ = _run(capsys, [*command, "--defect", "CN0"])
+    # The first line names the system; every number below it must agree.
+    assert out.splitlines()[1:] == reference.splitlines()[1:]
+
+
+def test_ctl_flags_show_record_flag_and_above_gap(capsys, tmp_path):
+    path = tmp_path / "records.dat"
+    path.write_text("D 0 -10.0\nD -1 -3.0 - odd\n")
+    diagram = tmp_path / "diagram.tsv"
+    code, out, _ = _run(
+        capsys, ["ctl", str(path), "--format", "csv", "--diagram", str(diagram)]
+    )
+    assert code == 0
+    (row,) = [ln.split(",") for ln in out.splitlines()[1:]]
+    # The uncorrected level, 7.00 eV, lies past the 5.95 eV CBM; without a
+    # correction the corrected one is unclear and carries only the flag.
+    assert row == ["D", "(0|-1)", "unclear", "7.00", "above-gap+odd"]
+    text = diagram.read_text()
+    assert "D\t(0|-1)\tuncorrected\t7.000\tabove-gap+odd" in text
+    assert "D\t(0|-1)\tcorrected\tunclear\todd" in text
+
+
 def test_binding_table(capsys):
     code, out, _ = _run(capsys, ["binding", "--format", "csv"])
     assert code == 0

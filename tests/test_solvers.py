@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import warnings
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from defectspin.hamiltonian import build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
 from defectspin.solvers import (
+    MODE_ACONST,
+    MODE_FULL,
     LineList,
     ZeroFieldError,
     electron_axis,
@@ -46,6 +53,46 @@ def _single(symbol, principal_values):
 
 def _load(label):
     return build_system(find_defect(load_defect_dataset(), label))
+
+
+def _raw_lines(system, field, order=2, mode=MODE_FULL):
+    """One line per nuclear configuration: the enumeration before grouping."""
+    nu_e, _ = electron_axis(system, field)
+    tables = [
+        perturb_lines(system.subsystem((k,)), field, order, mode).frequencies - nu_e
+        for k in range(len(system.sites))
+    ]
+    freqs = nu_e + reduce(np.add.outer, tables, np.zeros(())).ravel()
+    count = freqs.size
+    return LineList("raw", field, freqs, np.ones(count), np.full(count, 1.0 / count))
+
+
+def _assert_same_distribution(lines, reference, tol=1e-7):
+    """Equal weight and mass per frequency; frequencies match within ``tol``.
+
+    Both lists are binned on the clusters of their joint frequencies (gaps
+    wider than ``tol`` MHz separate clusters), so a line and its rounded
+    counterpart always share a bin.
+    """
+    joint = np.sort(np.concatenate([lines.frequencies, reference.frequencies]))
+    cuts = joint[1:][np.diff(joint) > tol]
+
+    def binned(ll, values):
+        slot = np.searchsorted(cuts, ll.frequencies, side="right")
+        return np.bincount(slot, weights=values, minlength=cuts.size + 1)
+
+    for values in (lambda ll: ll.weights, lambda ll: ll.weights * ll.intensities):
+        np.testing.assert_allclose(
+            binned(lines, values(lines)), binned(reference, values(reference)),
+            rtol=0.0, atol=1e-12,
+        )
+
+
+def _assert_same_stats(lines, reference, window=(-np.inf, np.inf)):
+    a, b = peak_stats(lines, window), peak_stats(reference, window)
+    assert abs(a.center - b.center) <= 1e-9
+    assert abs(a.sigma - b.sigma) <= 1e-9
+    assert abs(a.included_weight_fraction - b.included_weight_fraction) <= 1e-12
 
 
 def test_electron_axis_along_field():
@@ -89,11 +136,16 @@ def test_cn_second_order_reference_statistics():
     assert stats.fwhm_gauss == pytest.approx(74.26, abs=0.05)
 
 
-def test_line_weights_are_uniform_and_normalized():
-    lines = perturb_lines(_load("CN0"), FIELD)
-    assert len(lines) == 64 * 729  # one line per nuclear configuration
-    assert lines.total_weight == pytest.approx(1.0)
-    assert np.unique(lines.weights).size == 1
+def test_line_weights_are_class_probabilities():
+    system = _load("CN0")
+    lines = perturb_lines(system, FIELD)
+    assert lines.meta["configurations"] == 64 * 729
+    assert len(lines) == 560  # C(3+3, 3) boron classes x C(6+2, 2) nitrogen
+    assert lines.total_weight == pytest.approx(1.0, abs=1e-12)
+    configurations = lines.weights * 46656
+    np.testing.assert_allclose(configurations, np.rint(configurations), atol=1e-8)
+    assert configurations.min() == pytest.approx(1.0)
+    _assert_same_distribution(lines, _raw_lines(system, FIELD))
 
 
 def test_perturb_rejects_zero_field():
@@ -184,9 +236,32 @@ def test_hybrid_first_shell_reference_statistics():
 
 def test_hybrid_weights_multiply_through_convolution():
     system = _load("CB0")
-    lines = hybrid_solve(system, shell_indices(system), FIELD)
-    # exact weights are 1 each; remainder weight is 1/4^6 per combination
-    assert lines.weights.max() == pytest.approx(1.0 / 4096)
+    shell = shell_indices(system)
+    lines = hybrid_solve(system, shell, FIELD)
+    subsystem = system.subsystem(shell)
+    exact = exact_transitions(
+        build_hamiltonian(subsystem, FIELD, terms=("ezi", "hfi", "nzi")), subsystem
+    )
+    remainder = [k for k in range(len(system.sites)) if k not in shell]
+    rest = _raw_lines(system.subsystem(remainder), FIELD)   # 12C and six 11B
+    assert lines.meta["configurations"] == 4096
+    assert len(lines) == len(exact) * 84   # C(6+3, 3) classes per exact line
+    # exact weights are 1 each; each class holds a whole number of the
+    # remainder's 4^6 equally likely configurations
+    configurations = lines.weights * 4096
+    np.testing.assert_allclose(configurations, np.rint(configurations), atol=1e-8)
+    assert configurations.min() == pytest.approx(1.0)
+    nu_e, _ = electron_axis(system, FIELD)
+    shifts = rest.frequencies - nu_e
+    reference = LineList(
+        "reference",
+        FIELD,
+        np.add.outer(exact.frequencies, shifts).ravel(),
+        np.repeat(exact.intensities, shifts.size),
+        np.repeat(exact.weights, shifts.size) / shifts.size,
+    )
+    _assert_same_distribution(lines, reference)
+    _assert_same_stats(lines, reference, (30.0, np.inf))
 
 
 def test_hybrid_rejects_duplicate_sites():
@@ -275,6 +350,136 @@ def test_linelist_sorted_and_transitions():
 def test_linelist_rejects_mismatched_arrays():
     with pytest.raises(ValueError):
         LineList("x", FIELD, np.zeros(3), np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["frequency", "intensity", "weight"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linelist_rejects_nonfinite_values(column, bad):
+    columns = [np.array([100.0, 110.0]), np.ones(2), np.full(2, 0.5)]
+    columns[column][1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LineList("x", FIELD, *columns)
+
+
+@pytest.mark.parametrize("column", [1, 2], ids=["intensity", "weight"])
+def test_linelist_rejects_negative_mass(column):
+    columns = [np.array([100.0, 110.0]), np.ones(2), np.full(2, 0.5)]
+    columns[column][1] = -1e-300
+    with pytest.raises(ValueError, match="non-negative"):
+        LineList("x", FIELD, *columns)
+
+
+def test_linelist_accepts_negative_frequency_and_zero_mass():
+    lines = LineList("x", FIELD, np.array([-5.0, 0.0]), np.zeros(2), np.zeros(2))
+    assert len(lines) == 2
+
+
+_FIELDS = {
+    "parallel": np.array([0.0, 0.0, 42.0]),
+    "tilted": np.array([30.0, 0.0, 30.0]),
+    "generic": np.array([11.0, 23.0, 37.0]),
+}
+
+
+@pytest.mark.parametrize("label", ["CN0", "CB0"])
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@pytest.mark.parametrize("order, mode", [(1, MODE_FULL), (2, MODE_FULL), (2, MODE_ACONST)])
+def test_grouped_lines_match_raw_enumeration(label, field, order, mode):
+    system = _load(label)
+    lines = perturb_lines(system, _FIELDS[field], order, mode)
+    raw = _raw_lines(system, _FIELDS[field], order, mode)
+    assert lines.meta["configurations"] == len(raw)
+    assert len(lines) < len(raw)
+    _assert_same_distribution(lines, raw)
+    _assert_same_stats(lines, raw)
+    _assert_same_stats(lines, raw, (30.0, np.inf))
+
+
+_ISOTOPES = ("11B", "10B", "14N", "15N", "13C", "12C")
+_COUPLING = st.floats(-40.0, 40.0, allow_nan=False)
+
+
+def _rotation(q) -> np.ndarray:
+    """Proper rotation from a (not yet normalized) quaternion."""
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ])
+
+
+_QUATERNION = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1
+)
+_SITE = st.tuples(st.sampled_from(_ISOTOPES), st.tuples(*[_COUPLING] * 3), _QUATERNION)
+_DIRECTION = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda d: np.linalg.norm(d) > 0.1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(_SITE, min_size=1, max_size=3),
+    data=st.data(),
+    magnitude=st.floats(5.0, 300.0),
+    direction=_DIRECTION,
+    order=st.sampled_from([1, 2]),
+    mode=st.sampled_from([MODE_FULL, MODE_ACONST]),
+)
+def test_grouped_lines_match_raw_for_duplicated_sites(
+    kinds, data, magnitude, direction, order, mode
+):
+    picks = data.draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4))
+    sites = []
+    for k in picks:
+        symbol, couplings, quaternion = kinds[k]
+        iso = lookup(symbol)
+        sites.append((_site(iso.element, couplings, _rotation(quaternion)), iso))
+    system = SpinSystem("random", tuple(sites))
+    field = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
+        lines = perturb_lines(system, field, order, mode)
+        raw = _raw_lines(system, field, order, mode)
+    assert lines.meta["configurations"] == len(raw)
+    assert len(lines) <= len(raw)
+    _assert_same_distribution(lines, raw)
+    _assert_same_stats(lines, raw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    symbol=st.sampled_from(["11B", "10B", "14N", "15N", "13C"]),
+    shape=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: max(map(abs, v)) > 0.1),
+    strength=st.floats(0.001, 0.1),
+    quaternion=_QUATERNION,
+    magnitude=st.floats(20.0, 300.0),
+    direction=_DIRECTION,
+)
+def test_perturb2_converges_to_exact_for_weak_coupling(
+    symbol, shape, strength, quaternion, magnitude, direction
+):
+    iso = lookup(symbol)
+    field = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    nu_e, axis = electron_axis(SpinSystem("e", ()), field)
+    # Scale the couplings so the largest, K, is ``strength`` times nu_e.
+    couplings = np.asarray(shape) * (strength * nu_e / max(map(abs, shape)))
+    k = float(np.abs(couplings).max())
+    site = _site(iso.element, tuple(couplings), _rotation(quaternion))
+    # The expansion quantizes the nucleus along a = A^T n. When |a| is small
+    # against K the projections m mix at second order, so that is excluded:
+    # over 9,000 random sites the deviation reached 37 K^3/nu_e^2 at
+    # |a| = 0.06 K, and stayed below 7.9 K^3/nu_e^2 wherever |a| >= 0.3 K.
+    assume(np.linalg.norm(site.hyperfine_tensor().T @ axis) >= 0.3 * k)
+    system = SpinSystem("weak", ((site, iso),))
+    exact = exact_transitions(
+        build_hamiltonian(system, field, terms=("ezi", "hfi")), system, intensity_floor=0.0
+    )
+    approx = perturb_lines(system, field, order=2)
+    bound = 10.0 * k**3 / nu_e**2 + 1e-12 * nu_e   # plus eigh rounding
+    deviation = max(np.abs(exact.frequencies - f).min() for f in approx.frequencies)
+    assert deviation <= bound
 
 
 _FRONT_DOORS = {

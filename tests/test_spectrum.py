@@ -281,14 +281,14 @@ def test_write_spectrum_round_trip(tmp_path):
 def test_writers_pin_exact_rows(tmp_path):
     values = [123456789.5, 0.1 + 0.2, -3.5e-7, 1e-300]
     lines = _lines(values, weights=[2.0 / 3.0, 0.25, 1e-300, 0.1 + 0.2],
-                   intensities=values[::-1])
+                   intensities=np.abs(values[::-1]))
     path = tmp_path / "lines.tsv"
     write_linelist(lines, path)
     rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
     assert rows == [
         "-3.5e-07 0.3 1e-300",
         "1e-300 123456790 0.3",
-        "0.3 -3.5e-07 0.25",
+        "0.3 3.5e-07 0.25",
         "123456790 1e-300 0.666666667",
     ]
     spec = Spectrum(np.array([-3.5e-7, 0.1 + 0.2]), np.array([1e-300, 123456789.5]))
