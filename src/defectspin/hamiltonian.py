@@ -9,13 +9,17 @@ The Hamiltonian is built term by term in frequency units (MHz):
 
 Matrices are dense and complex. The basis is a plain tensor product with
 the electron factor first and the nuclear sites following in declared
-order, each factor ordered by descending magnetic quantum number.
+order, each factor ordered by descending magnetic quantum number. Each
+term acts on one or two factors and is added in place into the diagonal,
+over the remaining identity factors, of H viewed as its factor tensor; the
+identity factors are never built, so assembly costs O(n^2) per term.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,10 +113,26 @@ class HamiltonianMatrix:
         return self.matrix.shape[0]
 
 
-def _embed(local: dict[int, np.ndarray], dims: tuple[int, ...]) -> np.ndarray:
-    """Kronecker-expand operators acting on selected factors."""
-    factors = [local.get(i, np.eye(d, dtype=complex)) for i, d in enumerate(dims)]
-    return reduce(np.kron, factors)
+def _add_local(h: np.ndarray, dims: tuple[int, ...], slots: tuple[int, ...], op) -> None:
+    """Add ``op``, acting on the factors ``slots`` (ascending), into ``h``.
+
+    ``op`` has the local row axes, then the local column axes, e.g.
+    (d_s, d_s) for one factor. ``h`` is reshaped to (run, slot, run, ...)
+    twice, with each run of identity factors merged into one axis; the
+    einsum diagonal over the runs is a writable view of ``h``, and ``op``
+    broadcasts over it.
+    """
+    sizes, start = [], 0
+    for s in slots:
+        sizes += [math.prod(dims[start:s]), dims[s]]
+        start = s + 1
+    sizes.append(math.prod(dims[start:]))
+    rows = "abcde"[: len(sizes)]
+    # Identity runs (even positions) reuse their row letter: a diagonal.
+    cols = "".join(r if g % 2 == 0 else r.upper() for g, r in enumerate(rows))
+    subscripts = f"{rows}{cols}->{rows[::2]}{rows[1::2]}{cols[1::2]}"
+    view = np.einsum(subscripts, h.reshape(sizes * 2))
+    view += op
 
 
 def normalize_terms(terms) -> frozenset:
@@ -153,7 +173,7 @@ def build_hamiltonian(
     if "ezi" in mask:
         heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ b)
         local = sum(heff[a] * electron.component(a) for a in range(3))
-        h += _embed({0: local}, dims)
+        _add_local(h, dims, (0,), local)
 
     for k, (site, iso) in enumerate(system.sites):
         slot = k + 1
@@ -164,12 +184,14 @@ def build_hamiltonian(
             a_tensor = site.hyperfine_tensor()
             for i in range(3):
                 row = sum(a_tensor[i, j] * ops.component(j) for j in range(3))
-                h += _embed({0: electron.component(i), slot: row}, dims)
+                # S_i (x) row as (2, d, 2, d): row axes, then column axes.
+                op = electron.component(i)[:, None, :, None] * row[None, :, None, :]
+                _add_local(h, dims, (0, slot), op)
         if "nzi" in mask:
             # gamma/2pi in Hz/G times Gauss gives Hz; scale to MHz.
             coeff = -iso.gamma_over_2pi * 1e-6
             local = coeff * sum(b[j] * ops.component(j) for j in range(3))
-            h += _embed({slot: local}, dims)
+            _add_local(h, dims, (slot,), local)
         if "nqi" in mask and iso.spin >= 1.0:
             if site.efg is None:
                 raise ValueError(
@@ -182,6 +204,6 @@ def build_hamiltonian(
                 for j in range(3):
                     if q[i, j] != 0.0:
                         local += q[i, j] * (ops.component(i) @ ops.component(j))
-            h += _embed({slot: local}, dims)
+            _add_local(h, dims, (slot,), local)
 
     return HamiltonianMatrix(matrix=h, terms=mask, dims=dims, field=b)

@@ -10,6 +10,7 @@ another of the same element.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,22 +129,25 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
     for gid, counts in pattern.counts:
         element = lookup(counts[0][0]).element
         assignment[(gid, element)] = [s for s, count in counts for _ in range(count)]
-    cursor = dict.fromkeys(assignment, 0)
+    sizes = Counter((site.group_id, site.element) for site, _ in system.sites)
+    for (gid, element), symbols in assignment.items():
+        if len(symbols) != sizes[gid, element]:
+            raise ValueError(
+                f"pattern counts for group {gid} sum to {len(symbols)}, "
+                f"but it has {sizes[gid, element]} {element} sites"
+            )
+    pending = {key: iter(symbols) for key, symbols in assignment.items()}
     new_sites = []
     for site, iso in system.sites:
         key = (site.group_id, site.element)
-        if key in assignment:
-            symbol = assignment[key][cursor[key]]
-            cursor[key] += 1
+        if key in pending:
+            symbol = next(pending[key])
             if symbol != iso.symbol:
                 new_iso = lookup(symbol)
                 pv = tuple(rescale_hyperfine(site.principal_values, iso, new_iso))
                 site = dataclasses.replace(site, principal_values=pv)
                 iso = new_iso
         new_sites.append((site, iso))
-    for key, symbols in assignment.items():
-        if cursor[key] != len(symbols):
-            raise ValueError(f"pattern counts for group {key[0]} exceed its size")
     label = f"{system.label}[{pattern.describe()}]"
     return SpinSystem(label, tuple(new_sites), system.g_tensor)
 

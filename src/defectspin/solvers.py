@@ -31,13 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonian import (
-    HamiltonianMatrix,
-    build_hamiltonian,
-    normalize_terms,
-    spin_operators,
-    _embed,
-)
+from .hamiltonian import HamiltonianMatrix, build_hamiltonian, normalize_terms
 from .isotopes import ELECTRON_ZEEMAN_MHZ_PER_G
 from .system import SpinSystem
 
@@ -277,19 +271,25 @@ def exact_transitions(
 ) -> LineList:
     """Diagonalize and emit all upward transitions driven by S_x.
 
-    Intensity is |<f| S_x |i>|^2 with the electron S_x embedded in the full
-    space; lines weaker than ``intensity_floor`` relative to the strongest
-    are dropped.
+    Intensity is |<f| S_x |i>|^2 with S_x the electron's lab-frame x
+    component, whatever the field direction (ROADMAP item 2 discusses
+    driving perpendicular to the field instead); lines weaker than
+    ``intensity_floor`` relative to the strongest are dropped. The electron
+    is the first factor, so S_x = sigma_x/2 (x) 1 couples the upper and
+    lower halves of each eigenvector: with X = U_up^H U_dn,
+    <f|S_x|i> = (X[f, i] + conj(X[i, f]))/2. ``eigh`` (n^3) sets the cost.
     """
     dims = (2,) + system.site_dimensions()
     if dims != h.dims:
         raise ValueError("system does not match the Hamiltonian's factor layout")
     energies, states = np.linalg.eigh(h.matrix)
-    sx = _embed({0: spin_operators(0.5).jx}, dims)
-    moments = np.abs(states.conj().T @ sx @ states) ** 2
+    half = h.dimension // 2
+    x = states[:half].conj().T @ states[half:]
+    del states                      # n x n arrays go as soon as used: peak RSS
     ii, fi = np.triu_indices(len(energies), k=1)   # E_f >= E_i pairs, f > i
     freqs = energies[fi] - energies[ii]
-    intens = moments[fi, ii]
+    intens = np.abs(0.5 * (x[fi, ii] + x[ii, fi].conj())) ** 2
+    del x, ii, fi
     if intens.size:
         keep = intens >= intensity_floor * intens.max()
         freqs, intens = freqs[keep], intens[keep]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defectspin.hamiltonian import (
     DimensionError,
@@ -11,7 +15,7 @@ from defectspin.hamiltonian import (
     normalize_terms,
     spin_operators,
 )
-from defectspin.isotopes import CONSTANTS, lookup
+from defectspin.isotopes import CONSTANTS, ELECTRON_ZEEMAN_MHZ_PER_G, lookup
 from defectspin.system import (
     NuclearSite,
     SpinSystem,
@@ -185,3 +189,66 @@ def test_dimension_cap_adjustable():
         build_hamiltonian(system, FIELD, dimension_cap=4)
     h = build_hamiltonian(system, FIELD, dimension_cap=8)
     assert h.dimension == 8
+
+
+def _kron_reference(system, field, terms):
+    """Term-by-term assembly with dense identities, in the solver's term order."""
+    dims = (2,) + system.site_dimensions()
+
+    def embed(local):
+        return reduce(
+            np.kron, [local.get(i, np.eye(d, dtype=complex)) for i, d in enumerate(dims)]
+        )
+
+    electron = spin_operators(0.5)
+    h = np.zeros((system.dimension,) * 2, dtype=complex)
+    if "ezi" in terms:
+        heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ field)
+        h += embed({0: sum(heff[a] * electron.component(a) for a in range(3))})
+    for k, (site, iso) in enumerate(system.sites):
+        if iso.spin == 0.0:
+            continue
+        ops = spin_operators(iso.spin)
+        if "hfi" in terms:
+            a = site.hyperfine_tensor()
+            for i in range(3):
+                row = sum(a[i, j] * ops.component(j) for j in range(3))
+                h += embed({0: electron.component(i), k + 1: row})
+        if "nzi" in terms:
+            coeff = -iso.gamma_over_2pi * 1e-6
+            h += embed({k + 1: coeff * sum(field[j] * ops.component(j) for j in range(3))})
+        if "nqi" in terms and iso.spin >= 1.0:
+            q = efg_to_quadrupole(site.efg, iso)
+            local = np.zeros((ops.dimension,) * 2, dtype=complex)
+            for i in range(3):
+                for j in range(3):
+                    if q[i, j] != 0.0:
+                        local += q[i, j] * (ops.component(i) @ ops.component(j))
+            h += embed({k + 1: local})
+    return h
+
+
+_FIELD_VECTORS = st.one_of(
+    st.just((0.0, 0.0, 0.0)),
+    st.floats(1.0, 300.0).map(lambda b: (0.0, 0.0, b)),
+    st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(["CN0", "CB0"]),
+    carbon13=st.booleans(),
+    sites=st.lists(st.integers(0, 9), min_size=0, max_size=4, unique=True),
+    terms=st.sets(st.sampled_from(["ezi", "hfi", "nzi", "nqi"])),
+    field=_FIELD_VECTORS,
+)
+def test_assembly_is_bit_identical_to_kron_reference(label, carbon13, sites, terms, field):
+    # Only the first shell (sites 1-3) carries EFG tensors.
+    if not set(sites) <= {0, 1, 2, 3}:
+        terms = terms - {"nqi"}
+    record = find_defect(load_defect_dataset(), label)
+    system = build_system(record, {"C": "13C"} if carbon13 else None).subsystem(sites)
+    b = np.array(field)
+    h = build_hamiltonian(system, b, terms=terms)
+    assert np.array_equal(h.matrix, _kron_reference(system, b, terms))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from defectspin.isotopes import lookup
 from defectspin.isotopologues import (
     PROBABILITY_FLOOR,
+    IsotopePattern,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
@@ -127,6 +128,17 @@ def test_apply_pattern_leaves_other_elements_untouched():
         if s1.element != "B":
             assert i1.symbol == i2.symbol
             assert s1.principal_values == s2.principal_values
+
+
+@pytest.mark.parametrize(
+    "counts, total",
+    [((("11B", 1), ("10B", 1)), 2), ((("11B", 3), ("10B", 1)), 4)],
+    ids=["shortfall", "surplus"],
+)
+def test_apply_pattern_rejects_counts_not_matching_group_size(counts, total):
+    pattern = IsotopePattern((("B-shell1", counts),), 1.0)
+    with pytest.raises(ValueError, match=f"group B-shell1 sum to {total}, but it has 3 B"):
+        apply_pattern(_load("CN0"), pattern)
 
 
 def test_composite_lines_weights_carry_probability():

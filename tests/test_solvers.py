@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from defectspin.hamiltonian import build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
 from defectspin.solvers import (
+    INTENSITY_FLOOR,
     MODE_ACONST,
     MODE_FULL,
     LineList,
@@ -198,6 +199,45 @@ def test_exact_output_sorted_ascending():
     lines = exact_transitions(h, system)
     assert np.all(np.diff(lines.frequencies) >= 0)
     assert np.all(lines.frequencies > 0)
+
+
+def _dense_moment_lines(h, intensity_floor):
+    """Exact lines with S_x embedded as a dense matrix: |U^H (S_x (x) 1) U|^2."""
+    energies, states = np.linalg.eigh(h.matrix)
+    sx = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(h.dimension // 2))
+    moments = np.abs(states.conj().T @ sx @ states) ** 2
+    ii, fi = np.triu_indices(h.dimension, k=1)
+    freqs, intens = energies[fi] - energies[ii], moments[fi, ii]
+    keep = intens >= intensity_floor * intens.max()
+    order = np.lexsort((intens[keep], freqs[keep]))
+    return freqs[keep][order], intens[keep][order]
+
+
+_FIRST_SHELL_CASES = [
+    (label, carbon13, nqi)
+    for label in ("CN0", "CB0")
+    for carbon13 in (False, True)
+    for nqi in (False, True)
+]
+
+
+@pytest.mark.parametrize("label, carbon13, nqi", _FIRST_SHELL_CASES)
+@pytest.mark.parametrize("field", [(0.0, 0.0, 42.0), (11.0, 23.0, 37.0), (0.0, 0.0, 0.0)],
+                         ids=["c-axis", "tilted", "zero"])
+def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
+    system = build_system(
+        find_defect(load_defect_dataset(), label), {"C": "13C"} if carbon13 else None
+    )
+    sub = system.subsystem(((0,) if carbon13 else ()) + shell_indices(system))
+    terms = ("ezi", "hfi", "nzi") + (("nqi",) if nqi else ())
+    h = build_hamiltonian(sub, np.array(field), terms=terms)
+    lines = exact_transitions(h, sub, intensity_floor=0.0)
+    freqs, intens = _dense_moment_lines(h, 0.0)
+    assert np.array_equal(lines.frequencies, freqs)
+    np.testing.assert_allclose(lines.intensities, intens, rtol=0.0, atol=1e-12)
+    if any(field):
+        pruned = exact_transitions(h, sub)
+        assert len(pruned) == len(_dense_moment_lines(h, INTENSITY_FLOOR)[0])
 
 
 def test_exact_requires_matching_layout():
