@@ -13,9 +13,8 @@ Run as ``python demos/charge_levels.py``.
 
 from defectspin import (
     INDIRECT_GAP_EV,
-    binding_energy,
+    complex_binding_energies,
     ctl_diagram,
-    group_records,
     load_complexes,
     load_energy_records,
 )
@@ -30,21 +29,10 @@ def main():
     print("defect keeps its deep-donor character).\n")
 
     table = load_complexes()
-    neutral = {
-        label: states[0]
-        for label, states in group_records(records).items()
-        if 0 in states
-    }
-    pristine = neutral[table["pristine"]]
     print("binding energies of neutral complexes (negative = bound):")
-    for entry in table["complexes"]:
-        eb = binding_energy(
-            neutral[entry["complex"]],
-            [neutral[c] for c in entry["constituents"]],
-            pristine,
-        )
-        members = " + ".join(entry["constituents"])
-        print(f"  {entry['complex']:<12} = {members:<18} E_b = {eb:6.2f} eV")
+    for name, constituents, eb in complex_binding_energies(records, table):
+        members = " + ".join(constituents)
+        print(f"  {name:<12} = {members:<18} E_b = {eb:6.2f} eV")
     print("\nThe nearest-neighbor donor-acceptor pair is by far the most")
     print("strongly bound two-site complex; adding a second donor or acceptor")
     print("deepens the binding further.")

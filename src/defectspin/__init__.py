@@ -12,6 +12,7 @@ from .energetics import (
     CtlResult,
     EnergyRecord,
     binding_energy,
+    complex_binding_energies,
     compute_ctl,
     ctl_diagram,
     defect_levels,
@@ -95,6 +96,7 @@ __all__ = [
     "DEFAULT_WINDOW",
     "apply_pattern",
     "binding_energy",
+    "complex_binding_energies",
     "build_hamiltonian",
     "build_system",
     "composite_lines",

@@ -15,6 +15,7 @@ failure, 3 dataset error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -25,10 +26,9 @@ import numpy as np
 
 from . import energetics
 from .energetics import (
-    binding_energy,
+    complex_binding_energies,
     ctl_diagram,
     defect_levels,
-    group_records,
     load_complexes,
     load_energy_records,
 )
@@ -51,7 +51,9 @@ from .solvers import (
     shell_indices,
 )
 from .spectrum import (
+    DEFAULT_GRID,
     DEFAULT_LINE_WIDTH,
+    DEFAULT_WINDOW,
     peak_stats,
     shift,
     synthesize,
@@ -59,6 +61,7 @@ from .spectrum import (
     write_spectrum,
 )
 from .system import (
+    _SHELL_DISTANCE,
     DatasetError,
     SpinSystem,
     build_system,
@@ -85,7 +88,6 @@ LADDER = (
     ("hybrid (1st: nzi)", "hybrid", ("nzi",)),
     ("hybrid (1st: nzi+nqi)", "hybrid", ("nzi", "nqi")),
 )
-_SHELL_LADDER = {1: 1.0, 2: math.sqrt(3.0)}
 
 
 class UsageError(Exception):
@@ -131,7 +133,10 @@ def _direction(text: str) -> tuple[float, float, float]:
 
 def _window(text: str) -> tuple[float, float]:
     message = "window must be 'lo,hi' in MHz (hi may be inf)"
-    return _floats(text, 2, message, finite=False)
+    lo, hi = _floats(text, 2, message, finite=False)
+    if not lo < hi:                                 # also false for NaN
+        raise argparse.ArgumentTypeError("window must satisfy lo < hi")
+    return lo, hi
 
 
 def _grid(text: str) -> tuple[float, float, float]:
@@ -145,43 +150,23 @@ def _terms(text: str) -> tuple[str, ...]:
     return tuple(t for t in text.split(",") if t)
 
 
-# What an export header echoes of an odmr run: key -> flag destination.
-_ECHO = {
-    "defect": "defect",
-    "system_path": "system",
-    "field_gauss": "B",
-    "direction": "direction",
-    "method": "method",
-    "exact_shell": "exact_shell",
-    "subset_terms": "subset_terms",
-    "include_nqi": "nqi",
-    "isotope_mode": "isotopes",
-    "pattern": "pattern",
-    "carbon13": "carbon13",
-    "element": "element",
-    "seed": "seed",
-    "samples": "samples",
-    "window": "window",
-    "shift_mhz": "shift",
-    "line_width": "width",
-    "grid": "grid",
-    "fmt": "format",
-    "data_dir": "data",
-}
-
-
 def _field(args) -> np.ndarray:
     direction = np.asarray(args.direction, dtype=float)
-    return args.B * direction / np.linalg.norm(direction)
+    return args.field_gauss * direction / np.linalg.norm(direction)
+
+
+def _label(args) -> str:
+    """The defect label, else the ``--system`` file name, for titles."""
+    return args.defect or os.path.basename(args.system_path or "system")
 
 
 def _resolve_system(args) -> SpinSystem:
-    if args.system:
-        with open(args.system) as fh:
+    if args.system_path:
+        with open(args.system_path) as fh:
             return SpinSystem.from_dict(json.load(fh))
     if not args.defect:
         raise UsageError("either --defect or --system is required")
-    records = load_defect_dataset(dataset_path("defects", args.data))
+    records = load_defect_dataset(dataset_path("defects", args.data_dir))
     record = find_defect(records, args.defect)
     return build_system(record, {"C": "13C"} if args.carbon13 else None)
 
@@ -211,22 +196,20 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
     if len(elements) != 1:
         raise UsageError("explicit patterns cover exactly one element")
     element = elements.pop()
-    groups = {}
-    for site, _ in system.sites:
-        if site.element == element:
-            groups[site.group_id] = groups.get(site.group_id, 0) + 1
+    patterns = enumerate_patterns(system, (element,))
+    groups = patterns[0].counts
     if len(groups) != 1:
         raise UsageError(
             f"{element} occupies {len(groups)} site groups; explicit patterns "
             "need exactly one"
         )
-    (gid, size), = groups.items()
+    (gid, group), = groups
+    size = sum(count for _, count in group)
     if sum(counts.values()) != size:
         raise UsageError(f"pattern counts must sum to the group size {size}")
-    ordered = tuple(
-        (iso.symbol, counts.get(iso.symbol, 0)) for iso in isotopes_of(element)
-    )
-    return IsotopePattern(counts=((gid, ordered),), probability=1.0)
+    wanted = ((gid, tuple((symbol, counts.get(symbol, 0)) for symbol, _ in group)),)
+    pattern = next(p for p in patterns if p.counts == wanted)
+    return dataclasses.replace(pattern, probability=1.0)
 
 
 def _perturbative(args, method: str) -> dict:
@@ -241,7 +224,7 @@ def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
     if method in PERTURBATIVE:
         return sample_configurations(system, field, **_perturbative(args, method))
     if method == "hybrid":
-        indices = shell_indices(system, _SHELL_LADDER[args.exact_shell])
+        indices = shell_indices(system, _SHELL_DISTANCE[args.exact_shell])
         if not indices:
             raise UsageError("no spin-carrying sites inside the requested shell")
         terms = ("hfi", *subset_terms)
@@ -250,12 +233,14 @@ def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
         system = SpinSystem(system.label + ":electron", (), system.g_tensor)
         terms = ("ezi",)
     else:
-        terms = ("ezi", "hfi", "nzi") + (("nqi",) if args.nqi else ())
+        terms = ("ezi", "hfi", "nzi") + (("nqi",) if args.include_nqi else ())
     return exact_transitions(build_hamiltonian(system, field, terms=terms), system)
 
 
 def _run_pipeline(args, system: SpinSystem) -> LineList:
-    if args.isotopes == "natural":
+    if args.pattern and args.isotope_mode != "explicit":
+        raise UsageError("argument --pattern: needs --isotopes explicit")
+    if args.isotope_mode == "natural":
         if args.method not in PERTURBATIVE:
             raise UsageError(
                 "--isotopes natural needs a perturbative method "
@@ -264,7 +249,7 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
         patterns = enumerate_patterns(system, (args.element,))
         settings = _perturbative(args, args.method)
         return composite_lines(system, patterns, _field(args), **settings)
-    if args.isotopes == "explicit":
+    if args.isotope_mode == "explicit":
         if not args.pattern:
             raise UsageError("--isotopes explicit needs --pattern")
         system = apply_pattern(system, _parse_pattern(args, system))
@@ -272,12 +257,13 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
 
 
 def _export_meta(args) -> dict:
-    meta = {"command": args.command}
-    for key, dest in _ECHO.items():
-        value = getattr(args, dest)
-        if value is not None:
+    """Export header: every setting but the handler, config and export paths."""
+    meta = {}
+    skip = ("func", "config", "out_lines", "out_spectrum")
+    for key, value in vars(args).items():
+        if value is not None and key not in skip:
             meta[key] = list(value) if isinstance(value, tuple) else value
-    meta["dataset_version"] = dataset_version(dataset_path("defects", args.data))
+    meta["dataset_version"] = dataset_version(dataset_path("defects", args.data_dir))
     return meta
 
 
@@ -311,31 +297,32 @@ def _print_table(title: str, header: dict, rows, fmt: str):
 def cmd_odmr(args) -> int:
     system = _resolve_system(args)
     lines = _run_pipeline(args, system)
-    if args.shift:
-        lines = shift(lines, args.shift)
+    if args.shift_mhz:
+        lines = shift(lines, args.shift_mhz)
     stats = peak_stats(lines, args.window)
     meta = _export_meta(args)
-    if args.format == "csv":
+    values = {
+        "center_MHz": stats.center,
+        "sigma_MHz": stats.sigma,
+        "fwhm_MHz": stats.fwhm_gauss,
+        "included_weight_fraction": stats.included_weight_fraction,
+    }
+    if args.fmt == "csv":
         print("# " + json.dumps(meta, sort_keys=True))
-        print("center_MHz,sigma_MHz,fwhm_MHz,included_weight_fraction")
-        print(
-            f"{stats.center:.9g},{stats.sigma:.9g},"
-            f"{stats.fwhm_gauss:.9g},{stats.included_weight_fraction:.9g}"
-        )
+        print(",".join(values))
+        print(",".join(f"{value:.9g}" for value in values.values()))
     else:
-        label = args.defect or os.path.basename(args.system or "system")
-        print(f"defect {label}  method {args.method}  B {args.B:g} G  seed {args.seed}")
+        title = f"defect {_label(args)}  method {args.method}  B {args.field_gauss:g} G"
+        print(f"{title}  seed {args.seed}")
         print(f"FWHM {stats.fwhm_gauss:.0f} MHz, center {stats.center:.0f} MHz")
-        print(f"center_MHz {stats.center:.9g}")
-        print(f"sigma_MHz {stats.sigma:.9g}")
-        print(f"fwhm_MHz {stats.fwhm_gauss:.9g}")
-        print(f"included_weight_fraction {stats.included_weight_fraction:.9g}")
+        for name, value in values.items():
+            print(f"{name} {value:.9g}")
     if args.out_lines:
         write_linelist(lines, args.out_lines, extra_meta=meta)
     if args.out_spectrum:
         start, stop, step = args.grid
         grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
-        rendered = synthesize(lines, grid, per_line_width=args.width)
+        rendered = synthesize(lines, grid, per_line_width=args.line_width)
         write_spectrum(rendered, args.out_spectrum, extra_meta=meta)
     return 0
 
@@ -352,11 +339,11 @@ def cmd_compare_methods(args) -> int:
             continue
         rows.append([label, stats.fwhm_gauss, stats.center])
     title = (
-        f"defect {args.defect}  B {args.B:g} G  "
+        f"defect {_label(args)}  B {args.field_gauss:g} G  "
         f"window {args.window[0]:g}-{args.window[1]:g} MHz  seed {args.seed}"
     )
     header = {"method": None, "fwhm_MHz": ".0f", "center_MHz": ".0f"}
-    _print_table(title, header, rows, args.format)
+    _print_table(title, header, rows, args.fmt)
     return 0
 
 
@@ -364,9 +351,10 @@ def cmd_isotopes(args) -> int:
     system = _resolve_system(args)
     if args.pattern:
         patterns = [_parse_pattern(args, system)]
+        symbols = [symbol for symbol, _ in patterns[0].counts[0][1]]   # its one group
     else:
         patterns = enumerate_patterns(system, (args.element,))
-    symbols = [iso.symbol for iso in isotopes_of(args.element)]
+        symbols = [iso.symbol for iso in isotopes_of(args.element)]
     rows = []
     for k, pattern in enumerate(patterns):
         concrete = apply_pattern(system, pattern)
@@ -380,13 +368,13 @@ def cmd_isotopes(args) -> int:
         )
     header = {f"n_{s}": None for s in symbols}
     header.update(p_percent=".2f", center_MHz=".0f", fwhm_MHz=".0f")
-    title = f"defect {args.defect}  B {args.B:g} G  seed {args.seed}"
-    _print_table(title, header, rows, args.format)
+    title = f"defect {_label(args)}  B {args.field_gauss:g} G  seed {args.seed}"
+    _print_table(title, header, rows, args.fmt)
     return 0
 
 
 def cmd_ctl(args) -> int:
-    path = args.records or dataset_path("energies", args.data)
+    path = args.records or dataset_path("energies", args.data_dir)
     records = load_energy_records(path)
     if not records:
         raise UsageError(f"no energy records in {path}")
@@ -405,7 +393,7 @@ def cmd_ctl(args) -> int:
         )
     title = f"charge transition levels (eV, VBM = 0, CBM = {energetics.INDIRECT_GAP_EV})"
     columns = ("defect", "transition", "corrected_eV", "uncorrected_eV", "flags")
-    _print_table(title, dict.fromkeys(columns), rows, args.format)
+    _print_table(title, dict.fromkeys(columns), rows, args.fmt)
     if args.diagram:
         with open(args.diagram, "w") as fh:
             fh.write(ctl_diagram(records))
@@ -413,34 +401,17 @@ def cmd_ctl(args) -> int:
 
 
 def cmd_binding(args) -> int:
-    records = load_energy_records(args.records or dataset_path("energies", args.data))
-    table = load_complexes(args.complexes or dataset_path("complexes", args.data))
-    neutral = {
-        label: states[0]
-        for label, states in group_records(records).items()
-        if 0 in states
-    }
-    pristine_label = table["pristine"]
-    if pristine_label not in neutral:
-        raise DatasetError(f"no neutral record for pristine cell {pristine_label!r}")
-    rows = []
-    for entry in table["complexes"]:
-        name = entry["complex"]
-        constituents = entry["constituents"]
-        missing = [c for c in [name, *constituents] if c not in neutral]
-        if missing:
-            raise DatasetError(f"missing neutral records: {', '.join(missing)}")
-        eb = binding_energy(
-            neutral[name],
-            [neutral[c] for c in constituents],
-            neutral[pristine_label],
-        )
-        rows.append([name, len(constituents), eb])
+    records = load_energy_records(args.records or dataset_path("energies", args.data_dir))
+    table = load_complexes(args.complexes or dataset_path("complexes", args.data_dir))
+    rows = [
+        [name, len(constituents), eb]
+        for name, constituents, eb in complex_binding_energies(records, table)
+    ]
     _print_table(
         "binding energies (eV); negative favors complex formation",
         {"complex": None, "constituents": None, "binding_eV": ".2f"},
         rows,
-        args.format,
+        args.fmt,
     )
     return 0
 
@@ -451,7 +422,7 @@ def cmd_export_dataset(args) -> int:
     )
     os.makedirs(args.dest, exist_ok=True)
     for name in names:
-        src = dataset_path(name, args.data)
+        src = dataset_path(name, args.data_dir)
         if not os.path.exists(src):
             raise DatasetError(f"dataset file not found: {src}")
         dst = dataset_path(name, args.dest)
@@ -461,25 +432,28 @@ def cmd_export_dataset(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.add_argument("--data", default=None, help="override the dataset directory")
+    p.add_argument("--format", choices=("table", "csv"), default="table", dest="fmt")
+    p.add_argument("--data", default=None, dest="data_dir",
+                   help="override the dataset directory")
     p.add_argument("--config", default=None, help="JSON document of flag defaults")
 
 
 def _add_spectroscopy(p: argparse.ArgumentParser):
     p.add_argument("--defect", default=None, help="defect label from the dataset")
-    p.add_argument("--system", default=None, help="path to a serialized spin system")
-    p.add_argument("--B", type=_finite, default=42.0, help="field magnitude in Gauss")
+    p.add_argument("--system", default=None, dest="system_path",
+                   help="path to a serialized spin system")
+    p.add_argument("--B", type=_finite, default=42.0, dest="field_gauss",
+                   help="field magnitude in Gauss")
     p.add_argument("--direction", type=_direction, default="0,0,1",
                    help="field direction (crystal frame)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=100_000,
                    help="Monte-Carlo sample count past the enumeration threshold")
-    p.add_argument("--window", type=_window, default="30,inf",
+    p.add_argument("--window", type=_window, default=DEFAULT_WINDOW,
                    help="analysis window lo,hi in MHz")
     # Settings every spectroscopy run has; odmr and isotopes expose some as
     # flags, which take these defaults.
-    p.set_defaults(exact_shell=1, nqi=False, carbon13=False, element="B")
+    p.set_defaults(exact_shell=1, include_nqi=False, carbon13=False, element="B")
 
 
 def build_parser() -> tuple[_Parser, dict]:
@@ -489,24 +463,24 @@ def build_parser() -> tuple[_Parser, dict]:
     p = sub.add_parser("odmr", help="solve one defect and report peak statistics")
     _add_spectroscopy(p)
     p.add_argument("--method", choices=METHODS, default="perturb2")
-    p.add_argument("--exact-shell", type=int, choices=sorted(_SHELL_LADDER),
-                   dest="exact_shell",
+    # Shell 0 is the defect site itself, never a neighbor shell.
+    p.add_argument("--exact-shell", type=int, choices=[s for s in _SHELL_DISTANCE if s],
                    help="neighbor shell diagonalized exactly (hybrid)")
     p.add_argument("--subset-terms", type=_terms, default="nzi", dest="subset_terms",
                    help="extra exact-subsystem terms beyond hfi (hybrid)")
-    p.add_argument("--nqi", action="store_true",
+    p.add_argument("--nqi", action="store_true", dest="include_nqi",
                    help="include nuclear quadrupole terms in the exact method")
     p.add_argument("--isotopes", choices=("fixed", "natural", "explicit"),
-                   default="fixed")
+                   default="fixed", dest="isotope_mode")
     p.add_argument("--pattern", default=None,
                    help="explicit isotope counts, e.g. 11B:2,10B:1")
     p.add_argument("--carbon13", action="store_true",
                    help="substitute 13C on the carbon sites")
-    p.add_argument("--shift", type=_finite, default=0.0,
+    p.add_argument("--shift", type=_finite, default=0.0, dest="shift_mhz",
                    help="constant spectrum shift in MHz")
     p.add_argument("--width", type=_finite, default=DEFAULT_LINE_WIDTH,
-                   help="per-line FWHM for the synthesized spectrum")
-    p.add_argument("--grid", type=_grid, default="0,300,0.1",
+                   dest="line_width", help="per-line FWHM for the synthesized spectrum")
+    p.add_argument("--grid", type=_grid, default=DEFAULT_GRID,
                    help="spectrum grid start,stop,step")
     p.add_argument("--out-spectrum", default=None, dest="out_spectrum")
     p.add_argument("--out-lines", default=None, dest="out_lines")
@@ -568,10 +542,14 @@ _JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string"}
 def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict):
     """Config values, checked as their flags check them, keyed by dest.
 
-    A switch takes a JSON boolean, a numeric flag a number and every other
+    A key names a flag (``-`` and ``_`` alike) or a positional argument. A
+    switch takes a JSON boolean, a numeric flag a number and every other
     flag a string; the value then goes through the flag's type and choices.
     """
-    actions = {a.dest: a for a in sub._actions}
+    actions = {}
+    for action in sub._actions:
+        for name in action.option_strings or [action.dest]:
+            actions[name.lstrip("-").replace("-", "_")] = action
     defaults = {}
     for key, value in document.items():
         action = actions.get(key.replace("-", "_"))

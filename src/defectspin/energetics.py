@@ -56,7 +56,6 @@ class CtlResult:
     energy: float | None            # eV; None when the correction is unclear
     corrected: bool
     above_gap: bool
-    gap: float = INDIRECT_GAP_EV
     flag: str | None = None
 
 
@@ -106,7 +105,6 @@ def binding_energy(
     complex_record: EnergyRecord,
     constituents,
     pristine: EnergyRecord,
-    multiplicity: int | None = None,
 ) -> float:
     """Formation energy of a complex from isolated constituents, eV."""
     constituents = list(constituents)
@@ -115,10 +113,9 @@ def binding_energy(
             raise ValueError(
                 f"{rec.label}: binding energies mix only neutral states"
             )
-    m = len(constituents) if multiplicity is None else multiplicity
     return (
         complex_record.energy
-        + (m - 1) * pristine.energy
+        + (len(constituents) - 1) * pristine.energy
         - sum(rec.energy for rec in constituents)
     )
 
@@ -129,6 +126,26 @@ def group_records(records):
     for rec in records:
         grouped.setdefault(rec.label, {})[rec.charge] = rec
     return grouped
+
+
+def complex_binding_energies(records, table) -> list[tuple[str, list[str], float]]:
+    """``(complex, constituents, E_b)`` per entry of a ``load_complexes`` table,
+    from the neutral records; a label without one raises ``DatasetError``."""
+    neutral = {rec.label: rec for rec in records if rec.charge == 0}
+    pristine = table["pristine"]
+    if pristine not in neutral:
+        raise DatasetError(f"no neutral record for pristine cell {pristine!r}")
+    rows = []
+    for entry in table["complexes"]:
+        name = entry["complex"]
+        constituents = entry["constituents"]
+        missing = [c for c in [name, *constituents] if c not in neutral]
+        if missing:
+            raise DatasetError(f"missing neutral records: {', '.join(missing)}")
+        members = [neutral[c] for c in constituents]
+        eb = binding_energy(neutral[name], members, neutral[pristine])
+        rows.append((name, constituents, eb))
+    return rows
 
 
 def defect_levels(records) -> list[CtlResult]:

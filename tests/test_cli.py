@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from defectspin.cli import main
-from defectspin.system import build_system, find_defect, load_defect_dataset
+from defectspin.system import (
+    build_system,
+    dataset_path,
+    find_defect,
+    load_defect_dataset,
+)
 
 
 def _run(capsys, argv):
@@ -106,6 +111,41 @@ def test_odmr_file_exports(capsys, tmp_path):
     assert grid[:, 1].max() == pytest.approx(1.0)
 
 
+def test_odmr_export_headers_echo_every_setting(capsys, tmp_path):
+    data_dir = str(Path(dataset_path("defects")).parent)
+    lines_path, spec_path = tmp_path / "lines.tsv", tmp_path / "spec.tsv"
+    code, _, err = _run(
+        capsys,
+        ["odmr", "--defect", "CN0", "--isotopes", "explicit",
+         "--pattern", "11B:2,10B:1", "--shift", "1.5", "--width", "2",
+         "--grid", "0,300,1", "--data", data_dir,
+         "--out-lines", str(lines_path), "--out-spectrum", str(spec_path)],
+    )
+    assert code == 0, err
+    # Solver and run keys first, then the rest sorted; the export paths
+    # are not echoed.
+    common = [
+        "# field = [0.0, 0.0, 42.0]", "# method = perturb2", "# seed = 0",
+        "# shift = 1.5", "# window = [30.0, inf]", "# carbon13 = False",
+        "# command = odmr", "# configurations = 81648", f"# data_dir = {data_dir}",
+        "# dataset_version = 1.0.0", "# defect = CN0", "# direction = [0.0, 0.0, 1.0]",
+        "# element = B", "# exact_shell = 1", "# field_gauss = 42.0", "# fmt = table",
+        "# grid = [0.0, 300.0, 1.0]", "# include_nqi = False",
+        "# isotope_mode = explicit", "# line_width = 2.0", "# mode = full_tensor",
+        "# order = 2", "# pattern = 11B:2,10B:1",
+    ]
+    tail = ["# sampled = False", "# samples = 100000", "# shift_mhz = 1.5",
+            "# subset_terms = ['nzi']"]
+    headers = [
+        [ln for ln in path.read_text().splitlines() if ln.startswith("#")]
+        for path in (lines_path, spec_path)
+    ]
+    assert headers[0] == [*common, *tail, "# frequency_MHz intensity weight"]
+    assert headers[1] == [
+        *common, "# per_line_width = 2.0", *tail, "# frequency_MHz intensity"
+    ]
+
+
 def test_odmr_exports_byte_identical(capsys, tmp_path):
     paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
     for p in paths:
@@ -164,11 +204,15 @@ def test_exact_method_respects_dimension_cap(capsys):
         ["isotopes", "--pattern", "12B:3"],
         ["odmr", "--pattern", "11B:-1,10B:4", "--isotopes", "explicit"],
         ["odmr", "--pattern", "11B:1,11B:2", "--isotopes", "explicit"],
+        ["compare-methods", "--window", "50,40"],
+        ["odmr", "--window", "nan,inf"],
+        ["odmr", "--pattern", "11B:3"],
     ],
     ids=[
         "zero-step", "negative-step", "nan-field", "nan-direction", "zero-direction",
         "zero-samples", "unregistered-isotope", "isotopes-unregistered-isotope",
-        "negative-count", "repeated-isotope",
+        "negative-count", "repeated-isotope", "inverted-window", "nan-window",
+        "pattern-without-explicit",
     ],
 )
 def test_bad_input_exits_one_before_output(capsys, tmp_path, argv):
@@ -241,10 +285,11 @@ def test_explicit_flag_beats_config(capsys, tmp_path):
         ({"defect": "CN0", "direction": "0,0,0"}, "'direction'"),
         ({"defect": "CN0", "seed": 1.5}, "'seed'"),
         ({"defect": "CN0", "samples": 0}, "'samples'"),
+        ({"defect": "CN0", "window": "50,40"}, "'window'"),
     ],
     ids=[
         "string-number", "bad-choice", "string-switch", "zero-direction", "float-int",
-        "zero-samples",
+        "zero-samples", "inverted-window",
     ],
 )
 def test_config_rejects_bad_value(capsys, tmp_path, document, key):
@@ -255,6 +300,34 @@ def test_config_rejects_bad_value(capsys, tmp_path, document, key):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert f"config key {key}" in err
+
+
+@pytest.mark.parametrize(
+    "document, echoed",
+    [
+        ({"exact-shell": 2}, {"exact_shell": 2}),
+        ({"exact_shell": 2}, {"exact_shell": 2}),
+        ({"B": 50}, {"field_gauss": 50.0}),
+    ],
+    ids=["dashed-name", "underscored-name", "B"],
+)
+def test_config_keys_are_flag_names(capsys, tmp_path, document, echoed):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"defect": "CN0", **document}))
+    code, out, err = _run(capsys, ["odmr", "--config", str(cfg), "--format", "csv"])
+    assert code == 0, err
+    meta = json.loads(out.splitlines()[0][2:])
+    assert {key: meta[key] for key in echoed} == echoed
+
+
+def test_config_names_a_positional_argument(capsys, tmp_path):
+    records = tmp_path / "records.dat"
+    records.write_text("D 0 -10.0\nD 1 -14.11 0.30\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"records": str(records)}))
+    code, out, err = _run(capsys, ["ctl", "--config", str(cfg), "--format", "csv"])
+    assert code == 0, err
+    assert out.splitlines()[1:] == ["D,(+1|0),3.81,4.11,-"]
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):
@@ -314,6 +387,19 @@ def test_isotopes_single_pattern_restriction(capsys):
     rows = [ln.split(",") for ln in out.splitlines()[1:]]
     assert len(rows) == 1
     assert float(rows[0][2]) == pytest.approx(100.0)
+
+
+def test_isotopes_pattern_columns_name_its_isotopes(capsys):
+    # --element does not pick the columns of an explicit pattern.
+    code, out, err = _run(
+        capsys,
+        ["isotopes", "--defect", "CN0", "--element", "N", "--pattern", "11B:1,10B:2",
+         "--format", "csv"],
+    )
+    assert code == 0, err
+    header, row = [ln.split(",") for ln in out.splitlines()]
+    assert header[:3] == ["n_11B", "n_10B", "p_percent"]
+    assert row[:3] == ["1", "2", "100"]
 
 
 def test_isotopes_output_deterministic(capsys):
@@ -377,6 +463,16 @@ def test_system_file_without_group_ids_matches_defect(capsys, tmp_path, command)
     _, reference, _ = _run(capsys, [*command, "--defect", "CN0"])
     # The first line names the system; every number below it must agree.
     assert out.splitlines()[1:] == reference.splitlines()[1:]
+
+
+@pytest.mark.parametrize("command", ["compare-methods", "isotopes"])
+def test_title_names_the_system_file(capsys, tmp_path, command):
+    data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
+    path = tmp_path / "cn0.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, [command, "--system", str(path)])
+    assert code == 0, err
+    assert out.splitlines()[0].startswith("defect cn0.json  B 42 G  ")
 
 
 def test_ctl_flags_show_record_flag_and_above_gap(capsys, tmp_path):

@@ -8,6 +8,7 @@ from defectspin.energetics import (
     INDIRECT_GAP_EV,
     EnergyRecord,
     binding_energy,
+    complex_binding_energies,
     compute_ctl,
     ctl_diagram,
     defect_levels,
@@ -100,16 +101,14 @@ def test_pair_binding_energy():
 
 
 def test_triple_binding_energy_uses_multiplicity():
+    # The multiplicity is the constituent count: three constituents take
+    # two pristine cells to balance the supercells.
     pristine = _rec("host", 0, -5.0)
     donor = _rec("D", 0, -10.0)
     acceptor = _rec("A", 0, -20.0)
     triple = _rec("DAD", 0, -45.31)
-    explicit = binding_energy(
-        triple, [donor, acceptor, donor], pristine, multiplicity=3
-    )
-    implicit = binding_energy(triple, [donor, acceptor, donor], pristine)
-    assert explicit == implicit
-    assert implicit == pytest.approx(-45.31 + 2 * (-5.0) - (-40.0))
+    eb = binding_energy(triple, [donor, acceptor, donor], pristine)
+    assert eb == pytest.approx(-45.31 + 2 * (-5.0) - (-40.0))
 
 
 def test_binding_energy_rejects_charged_records():
@@ -117,6 +116,36 @@ def test_binding_energy_rejects_charged_records():
         binding_energy(
             _rec("DA", 0, -1.0), [_rec("D", 1, 0.0, 0.1)], _rec("host", 0, 0.0)
         )
+
+
+def _complex(name, *constituents):
+    return {"complex": name, "constituents": list(constituents)}
+
+
+def test_complex_binding_energies_take_neutral_records():
+    records = [
+        _rec("host", 0, -5.0), _rec("D", 0, -10.0), _rec("D", 1, -14.0, 0.3),
+        _rec("A", 0, -20.0), _rec("DA", 0, -33.93),
+    ]
+    table = {"pristine": "host", "complexes": [_complex("DA", "D", "A")]}
+    ((name, constituents, eb),) = complex_binding_energies(records, table)
+    assert (name, constituents) == ("DA", ["D", "A"])
+    assert eb == pytest.approx(-33.93 - 5.0 + 30.0)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"pristine": "bulk", "complexes": []}, "pristine cell 'bulk'"),
+        ({"pristine": "host", "complexes": [_complex("DA", "D", "X")]},
+         "missing neutral records: DA, X"),
+    ],
+    ids=["pristine", "constituent"],
+)
+def test_complex_binding_energies_reject_missing_records(table, message):
+    records = [_rec("host", 0, -5.0), _rec("D", 0, -10.0), _rec("DA", 1, -30.0, 0.1)]
+    with pytest.raises(DatasetError, match=message):
+        complex_binding_energies(records, table)
 
 
 def test_group_records_by_label():
