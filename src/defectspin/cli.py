@@ -54,6 +54,7 @@ from .spectrum import (
     DEFAULT_GRID,
     DEFAULT_LINE_WIDTH,
     DEFAULT_WINDOW,
+    _uniform_grid,
     peak_stats,
     shift,
     synthesize,
@@ -320,8 +321,7 @@ def cmd_odmr(args) -> int:
     if args.out_lines:
         write_linelist(lines, args.out_lines, extra_meta=meta)
     if args.out_spectrum:
-        start, stop, step = args.grid
-        grid = start + step * np.arange(int(round((stop - start) / step)) + 1)
+        grid = _uniform_grid(*args.grid)
         rendered = synthesize(lines, grid, per_line_width=args.line_width)
         write_spectrum(rendered, args.out_spectrum, extra_meta=meta)
     return 0

@@ -19,7 +19,10 @@ with u = a/K. For an isotropic tensor this collapses to the familiar
 a m + (a^2 / 2 nu_e)(I(I+1) - m^2) expansion, and the general form is
 checked against exact diagonalization in the test suite. Nuclear Zeeman
 shifts cancel at this order for electron-flip transitions and are left to
-the exact and hybrid paths.
+the exact and hybrid paths. The tables of all requested sites are
+evaluated at once, on one projection grid padded to the largest 2I+1.
+A site warns when ||A||_2 >= nu_e; for a symmetric tensor in an
+orthonormal frame ||A||_2 is max |principal value|.
 """
 
 from __future__ import annotations
@@ -31,7 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hamiltonian import HamiltonianMatrix, build_hamiltonian, normalize_terms
+from .hamiltonian import (
+    DIMENSION_CAP,
+    DimensionError,
+    HamiltonianMatrix,
+    build_hamiltonian,
+    normalize_terms,
+)
 from .isotopes import ELECTRON_ZEEMAN_MHZ_PER_G
 from .system import SpinSystem
 
@@ -104,37 +113,6 @@ def electron_axis(system: SpinSystem, field) -> tuple[float, np.ndarray]:
     return nu_e, heff / nu_e
 
 
-def _site_tensor(site, mode: str) -> np.ndarray:
-    if mode == MODE_ACONST:
-        return np.diag(site.principal_values)
-    return site.hyperfine_tensor()
-
-
-def _shift_table(site, isotope, axis, nu_e, order, mode) -> np.ndarray:
-    """Per-projection frequency shifts for one site, m descending."""
-    dim = isotope.multiplicity
-    spin = isotope.spin
-    if spin == 0.0:
-        return np.zeros(1)
-    m = spin - np.arange(dim)
-    a_tensor = _site_tensor(site, mode)
-    a_vec = a_tensor.T @ axis
-    coupling = float(np.linalg.norm(a_vec))
-    shifts = coupling * m
-    if order >= 2:
-        frob2 = float(np.sum(a_tensor * a_tensor))
-        if coupling > 1e-12:
-            u = a_vec / coupling
-            au2 = float(np.sum((a_tensor @ u) ** 2))
-        else:
-            au2 = 0.0
-        second = (au2 - coupling**2) * m**2 + (frob2 - au2) * (
-            spin * (spin + 1.0) - m**2
-        ) / 2.0
-        shifts = shifts + second / (2.0 * nu_e)
-    return shifts
-
-
 def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
     """Checked set-up shared by every perturbative solver.
 
@@ -142,7 +120,7 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
     component is finite), raises ``ZeroFieldError`` at zero electron Zeeman
     splitting, warns for each site in ``sites`` whose
     coupling is not small against nu_e, and returns nu_e (MHz) with the
-    per-projection shift table of each site in ``sites``.
+    per-projection shift table of each site in ``sites``, m descending.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -156,18 +134,44 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
         raise ZeroFieldError(
             "zero electron Zeeman splitting; use exact_transitions instead"
         )
-    tables = []
-    for k in sites:
-        site, iso = system.sites[k]
-        if iso.spin > 0.0:
-            norm = float(np.linalg.norm(_site_tensor(site, mode), 2))
-            if norm >= nu_e:
-                warnings.warn(
-                    f"site {k}: ||A|| = {norm:.1f} MHz is not small against "
-                    f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
-                    stacklevel=3,
-                )
-        tables.append(_shift_table(site, iso, axis, nu_e, order, mode))
+    index = list(sites)
+    picked = [system.sites[k] for k in index]
+    spins = np.array([iso.spin for _, iso in picked])
+    dims = [iso.multiplicity for _, iso in picked]
+    pv = np.array([site.principal_values for site, _ in picked]).reshape(-1, 3)
+    norms = np.abs(pv).max(axis=1, initial=0.0)  # ||A||_2
+    for k in np.flatnonzero((spins > 0.0) & (norms >= nu_e)):
+        warnings.warn(
+            f"site {index[k]}: ||A|| = {norms[k]:.1f} MHz is not small against "
+            f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
+            stacklevel=3,
+        )
+    if mode == MODE_ACONST:
+        tensors = pv[:, :, None] * np.eye(3)
+    else:
+        frames = np.array([site.frame for site, _ in picked]).reshape(-1, 3, 3)
+        tensors = (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)
+    a_vec = axis @ tensors                                  # A^T n per site
+    # K = |a| as a batched dot product, which rounds as np.linalg.norm does.
+    coupling = np.sqrt((a_vec[:, None, :] @ a_vec[:, :, None]).ravel())
+    # Projections m = I, I-1, ... on a grid padded to the largest 2I+1.
+    m = spins[:, None] - np.arange(max(dims, default=1))
+    shifts = coupling[:, None] * m
+    if order >= 2:
+        frob2 = (tensors * tensors).sum(axis=(1, 2))
+        aligned = coupling > 1e-12
+        u = a_vec / np.where(aligned, coupling, 1.0)[:, None]
+        au = tensors @ u[:, :, None]
+        au2 = np.where(aligned, (au * au).sum(axis=(1, 2)), 0.0)
+        m2 = m * m
+        second = (au2 - coupling**2)[:, None] * m2 + (frob2 - au2)[:, None] * (
+            (spins * (spins + 1.0))[:, None] - m2
+        ) / 2.0
+        shifts = shifts + second / (2.0 * nu_e)
+    tables = [
+        row[:d] if spin > 0.0 else np.zeros(1)
+        for row, d, spin in zip(shifts, dims, spins)
+    ]
     return nu_e, tables
 
 
@@ -341,6 +345,8 @@ def hybrid_solve(
     remaining sites' configurations. Lines below the 30 MHz analysis floor stay in the list;
     windowing is the statistics layer's job. ``order`` and ``mode`` are
     checked, and zero field rejected, even when every site is exact.
+    Raises ``DimensionError`` when the exact subsystem is larger than
+    ``DIMENSION_CAP``.
     """
     selection = _normalize_selection(system, exact_sites)
     mask = normalize_terms(subset_terms) | {"ezi"}
@@ -349,7 +355,13 @@ def hybrid_solve(
     rest = [i for i in range(len(system.sites)) if i not in selection]
     _, tables = _shift_tables(system, field, order, mode, rest)
     subsystem = system.subsystem(selection, label_suffix=":exact-subset")
-    h = build_hamiltonian(subsystem, field, terms=mask)
+    try:
+        h = build_hamiltonian(subsystem, field, terms=mask)
+    except DimensionError as exc:
+        raise DimensionError(
+            f"{len(selection)} exact sites give dimension {subsystem.dimension}, "
+            f"above the cap {DIMENSION_CAP}; select fewer exact sites"
+        ) from exc
     exact = exact_transitions(h, subsystem)
     if not rest:
         exact.meta.update(exact_sites=selection, method_detail="all sites exact")

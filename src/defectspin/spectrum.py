@@ -108,10 +108,14 @@ def peak_stats(lines: LineList, window=DEFAULT_WINDOW) -> PeakStats:
     )
 
 
-def default_grid() -> np.ndarray:
-    start, stop, step = DEFAULT_GRID
+def _uniform_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Grid from ``start`` to ``stop`` (MHz) in steps of ``step``."""
     n = int(round((stop - start) / step))
     return start + step * np.arange(n + 1)
+
+
+def default_grid() -> np.ndarray:
+    return _uniform_grid(*DEFAULT_GRID)
 
 
 def synthesize(

@@ -191,6 +191,30 @@ def test_exact_method_respects_dimension_cap(capsys):
     assert "exceeds cap" in err
 
 
+def test_hybrid_exact_shell_respects_dimension_cap(capsys):
+    argv = ["odmr", "--defect", "CN0", "--method", "hybrid", "--exact-shell", "2"]
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "defectspin: 9 exact sites give dimension 93312, above the cap 4096; "
+        "select fewer exact sites\n"
+    )
+
+
+
+def test_system_file_with_nan_principal_value_exits_one(capsys, tmp_path):
+    # json reads the NaN literal, and NuclearSite does not check that
+    # principal values are finite; the line list must still refuse them.
+    data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
+    data["sites"][1]["principal_values"][0] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, ["odmr", "--system", str(path)])
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from defectspin.hamiltonian import build_hamiltonian
@@ -16,6 +16,8 @@ from defectspin.solvers import (
     MODE_FULL,
     LineList,
     ZeroFieldError,
+    _shift_distribution,
+    _shift_tables,
     electron_axis,
     exact_transitions,
     hybrid_solve,
@@ -548,3 +550,113 @@ _FRONT_DOORS = {
 def test_perturbative_front_doors_reject_bad_requests(solver, field, kwargs, error):
     with pytest.raises(error):
         _FRONT_DOORS[solver](_load("CN0"), field, **kwargs)
+
+
+def _reference_table(site, iso, axis, nu_e, order, mode):
+    """One site's shift table, m descending, straight from the formula in
+    the ``solvers`` docstring; the reference for the batched tables."""
+    spin = iso.spin
+    if spin == 0.0:
+        return np.zeros(1)
+    m = spin - np.arange(iso.multiplicity)
+    a = np.diag(site.principal_values) if mode == MODE_ACONST else site.hyperfine_tensor()
+    a_vec = a.T @ axis
+    k = float(np.linalg.norm(a_vec))
+    shifts = k * m
+    if order == 2:
+        au2 = float(np.sum((a @ (a_vec / k)) ** 2)) if k > 1e-12 else 0.0
+        frob2 = float(np.sum(a * a))
+        second = (au2 - k**2) * m**2 + (frob2 - au2) * (spin * (spin + 1.0) - m**2) / 2.0
+        shifts = shifts + second / (2.0 * nu_e)
+    return shifts
+
+
+_AXES = st.sampled_from([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kinds=st.lists(_SITE, max_size=5),
+    magnitude=st.floats(5.0, 300.0),
+    direction=st.one_of(_DIRECTION, _AXES),
+    order=st.sampled_from([1, 2]),
+    mode=st.sampled_from([MODE_FULL, MODE_ACONST]),
+)
+# No sites at all: what hybrid_solve passes when every site is exact.
+@example(kinds=[], magnitude=42.0, direction=(0.0, 0.0, 1.0), order=2, mode=MODE_FULL)
+# A^T n = 0 exactly (zero principal value along the field): the K <= 1e-12 branch.
+@example(
+    kinds=[("11B", (0.0, 5.0, -7.0), (1.0, 0.0, 0.0, 0.0)),
+           ("10B", (0.0, -3.0, 9.0), (1.0, 0.0, 0.0, 0.0))],
+    magnitude=42.0, direction=(1.0, 0.0, 0.0), order=2, mode=MODE_FULL,
+)
+@example(
+    kinds=[("11B", (0.0, 5.0, -7.0), (1.0, 0.0, 0.0, 0.0))],
+    magnitude=42.0, direction=(1.0, 0.0, 0.0), order=2, mode=MODE_ACONST,
+)
+def test_shift_tables_match_per_site_formula(kinds, magnitude, direction, order, mode):
+    sites = []
+    for symbol, couplings, quaternion in kinds:
+        iso = lookup(symbol)
+        sites.append((_site(iso.element, couplings, _rotation(quaternion)), iso))
+    system = SpinSystem("random", tuple(sites))
+    field = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
+        nu_e, tables = _shift_tables(system, field, order, mode, range(len(sites)))
+    _, axis = electron_axis(system, field)
+    assert len(tables) == len(sites)
+    for table, (site, iso) in zip(tables, sites):
+        expected = _reference_table(site, iso, axis, nu_e, order, mode)
+        assert table.shape == expected.shape
+        scale = max(1.0, float(np.abs(expected).max()))
+        np.testing.assert_allclose(table, expected, rtol=0.0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("record", load_defect_dataset(), ids=lambda r: r.label)
+def test_max_principal_value_is_the_spectral_norm(record):
+    for site, _ in build_system(record).sites:
+        norm = np.linalg.norm(site.hyperfine_tensor(), 2)
+        assert max(map(abs, site.principal_values)) == pytest.approx(norm, rel=1e-12)
+
+
+def test_strong_coupling_warns_once_with_its_site_index():
+    system = SpinSystem("t", (
+        (_site("B", (1.4, -0.9, 6.1)), lookup("11B")),
+        (_site("C", (12.1, 12.1, 231.3)), lookup("13C")),
+        (_site("C", (12.1, 12.1, 231.3)), lookup("12C")),   # spin 0: no warning
+    ))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        perturb_lines(system, FIELD)
+    assert [str(w.message) for w in caught] == [
+        f"site 1: ||A|| = 231.3 MHz is not small against nu_e = {NU_E:.1f} MHz; "
+        "perturbative lines are unreliable"
+    ]
+    assert caught[0].filename == __file__          # points at the caller
+
+
+def test_grouping_joins_the_first_matching_head():
+    # a ~ b and b ~ c within the 1e-9 MHz tolerance, but a !~ c: c heads its
+    # own group, because b joined a. x, of another size, sits between.
+    a = np.array([1.0, -1.0])
+    b, c = a + 0.6e-9, a + 1.2e-9
+    x = np.array([2.0, 0.0, -2.0])
+    shifts, probs = _shift_distribution([a, x, b, c])
+    ab = (a + b) / 2.0
+    pair = np.array([2.0 * ab[0], ab[0] + ab[1], 2.0 * ab[1]])
+    expected = np.add.outer(np.add.outer(pair, x), c).ravel()
+    weights = np.multiply.outer(np.multiply.outer([0.25, 0.5, 0.25], [1 / 3] * 3), [0.5] * 2)
+    np.testing.assert_allclose(shifts, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(probs, weights.ravel(), rtol=0.0, atol=1e-15)
+
+
+def test_grouping_puts_a_nan_table_in_a_group_of_its_own():
+    # NaN matches no table, itself included, so each NaN table heads its own
+    # group and the distribution still comes back (and carries the NaN).
+    a = np.array([1.0, -1.0])
+    bad = np.array([np.nan, 0.0])
+    shifts, probs = _shift_distribution([a, bad, a, bad])
+    assert shifts.size == probs.size == 3 * 2 * 2
+    assert np.isnan(shifts).any()
+    assert probs.sum() == pytest.approx(1.0)
