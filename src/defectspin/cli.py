@@ -70,6 +70,7 @@ from .system import (
     dataset_version,
     find_defect,
     load_defect_dataset,
+    read_json,
 )
 
 # Perturbative methods: name -> (order, mode) of the perturbative solvers.
@@ -163,8 +164,7 @@ def _label(args) -> str:
 
 def _resolve_system(args) -> SpinSystem:
     if args.system_path:
-        with open(args.system_path) as fh:
-            return SpinSystem.from_dict(json.load(fh))
+        return SpinSystem.from_dict(read_json(args.system_path, "system file"))
     if not args.defect:
         raise UsageError("either --defect or --system is required")
     records = load_defect_dataset(dataset_path("defects", args.data_dir))
@@ -523,29 +523,23 @@ def build_parser() -> tuple[_Parser, dict]:
     return parser, sub.choices
 
 
-def _read_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            document = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path}: config parse error at line {exc.lineno}") from None
-    if not isinstance(document, dict):
-        raise UsageError("config document must be a JSON object")
-    return document
-
-
 _JSON_KINDS = {bool: "boolean", int: "number", float: "number", str: "string"}
 
 
-def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict):
-    """Config values, checked as their flags check them, keyed by dest.
+def _config_defaults(sub: argparse.ArgumentParser, command: str, path: str):
+    """Values of the config document at ``path``, checked as their flags
+    check them, keyed by dest.
 
     A key names a flag (``-`` and ``_`` alike) or a positional argument. A
     switch takes a JSON boolean, a numeric flag a number and every other
     flag a string; the value then goes through the flag's type and choices.
     """
+    try:
+        document = read_json(path, "config file")
+    except DatasetError as exc:
+        raise UsageError(str(exc)) from None
+    if not isinstance(document, dict):
+        raise UsageError("config document must be a JSON object")
     actions = {}
     for action in sub._actions:
         for name in action.option_strings or [action.dest]:
@@ -573,6 +567,16 @@ def _config_defaults(sub: argparse.ArgumentParser, command: str, document: dict)
     return defaults
 
 
+# (error kinds, exit code, stderr prefix); the first match wins, ValueError last.
+_EXITS = (
+    ((UsageError,), 1, "usage error: "),
+    ((DatasetError,), 3, "dataset error: "),
+    ((np.linalg.LinAlgError,), 2, "numerical failure: "),
+    ((DimensionError, ZeroFieldError), 1, ""),
+    ((OSError, ValueError, KeyError), 1, "error: "),
+)
+
+
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     try:
@@ -581,29 +585,15 @@ def main(argv=None) -> int:
             # Config values become the subcommand's defaults, so a second
             # parse lets every explicit flag win over them.
             sub = subparsers[args.command]
-            document = _read_config(args.config)
-            sub.set_defaults(**_config_defaults(sub, args.command, document))
+            sub.set_defaults(**_config_defaults(sub, args.command, args.config))
             args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"defectspin: usage error: {exc}", file=sys.stderr)
-        return 1
-    except DatasetError as exc:
-        print(f"defectspin: dataset error: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"defectspin: numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (DimensionError, ZeroFieldError) as exc:
-        print(f"defectspin: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"defectspin: error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-        print(f"defectspin: error: {message}", file=sys.stderr)
-        return 1
+    except tuple(kind for kinds, _, _ in _EXITS for kind in kinds) as exc:
+        code, prefix = next((c, p) for kinds, c, p in _EXITS if isinstance(exc, kinds))
+        # A KeyError's str() quotes its message; print it bare.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"defectspin: {prefix}{message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

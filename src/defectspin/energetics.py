@@ -16,12 +16,11 @@ and a negative value favors complex formation.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
-from .system import DatasetError, dataset_path
+from .system import DatasetError, dataset_path, read_json, read_text
 
 INDIRECT_GAP_EV = 5.950     # hBN indirect gap; CBM reference for flagging
 
@@ -80,23 +79,16 @@ def compute_ctl(
     else:
         raise ValueError(f"unsupported charge {charged.charge}; expected +1 or -1")
     flag = charged.flag
-    if corrected:
-        if charged.correction is None:
-            return CtlResult(
-                label=neutral.label,
-                transition=transition,
-                energy=None,
-                corrected=True,
-                above_gap=False,
-                flag=flag or "unclear",
-            )
+    if corrected and charged.correction is None:
+        energy, flag = None, flag or "unclear"
+    elif corrected:
         energy += sign * charged.correction
     return CtlResult(
         label=neutral.label,
         transition=transition,
         energy=energy,
         corrected=corrected,
-        above_gap=energy > INDIRECT_GAP_EV,
+        above_gap=energy is not None and energy > INDIRECT_GAP_EV,
         flag=flag,
     )
 
@@ -221,23 +213,14 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
     """
     if path is None:
         path = dataset_path("energies")
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DatasetError(f"cannot read energy records: {exc}") from None
     if path.endswith(".json"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(
-                f"{path}: parse error at line {exc.lineno}: {exc.msg}"
-            ) from None
+        doc = read_json(path, "energy records")
         raw_records = doc.get("records", doc) if isinstance(doc, dict) else doc
         return [
             _record_from_json(raw, f"{path}: record #{i}")
             for i, raw in enumerate(raw_records)
         ]
+    text = read_text(path, "energy records")
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -248,26 +231,11 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
             raise DatasetError(
                 f"{path}: line {lineno}: expected 'label charge energy [delta] [flag]'"
             )
-        try:
-            charge = int(parts[1])
-            energy = float(parts[2])
-            correction = None
-            if len(parts) > 3 and parts[3] != "-":
-                correction = float(parts[3])
-            if len(parts) <= 3:
-                correction = 0.0
-        except ValueError as exc:
-            raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-        flag = parts[4] if len(parts) > 4 else None
-        records.append(
-            EnergyRecord(
-                label=parts[0],
-                charge=charge,
-                energy=energy,
-                correction=correction,
-                flag=flag,
-            )
-        )
+        # The JSON record of the row: no correction column is 0.0, "-" is None.
+        raw = dict(zip(("label", "charge", "energy_eV", "correction_eV", "flag"), parts))
+        correction = raw.setdefault("correction_eV", 0.0)
+        raw["correction_eV"] = None if correction == "-" else correction
+        records.append(_record_from_json(raw, f"{path}: line {lineno}"))
     return records
 
 
@@ -279,13 +247,7 @@ def load_complexes(path: str | None = None) -> dict:
     """
     if path is None:
         path = dataset_path("complexes")
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DatasetError(f"cannot read complexes: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: parse error at line {exc.lineno}") from None
+    doc = read_json(path, "complexes")
     if not isinstance(doc, dict):
         doc = {"complexes": doc}
     entries = doc.get("complexes", [])

@@ -201,9 +201,11 @@ def synthesize(
 def shift(obj, delta: float):
     """Translate every frequency by ``delta`` MHz; records the shift."""
     delta = float(delta)
+    if not isinstance(obj, (LineList, Spectrum)):
+        raise TypeError(f"cannot shift object of type {type(obj).__name__}")
+    meta = dict(obj.meta)
+    meta["shift"] = meta.get("shift", 0.0) + delta
     if isinstance(obj, LineList):
-        meta = dict(obj.meta)
-        meta["shift"] = meta.get("shift", 0.0) + delta
         return LineList(
             obj.method,
             obj.field,
@@ -212,49 +214,33 @@ def shift(obj, delta: float):
             obj.weights.copy(),
             meta,
         )
-    if isinstance(obj, Spectrum):
-        meta = dict(obj.meta)
-        meta["shift"] = meta.get("shift", 0.0) + delta
-        return Spectrum(obj.grid + delta, obj.intensity.copy(), meta)
-    raise TypeError(f"cannot shift object of type {type(obj).__name__}")
+    return Spectrum(obj.grid + delta, obj.intensity.copy(), meta)
 
 
-def _format_header(meta: dict) -> list[str]:
-    ordered = {}
-    for key in _HEADER_KEYS:
-        ordered[key] = meta.get(key)
-    for key in sorted(meta):
-        if key not in ordered:
-            ordered[key] = meta[key]
-    return [f"# {k} = {v}" for k, v in ordered.items() if v is not None]
+def _write_table(path, meta: dict, extra_meta: dict | None, columns: str, *arrays):
+    """``meta`` and ``extra_meta`` as ``# key = value`` lines (``_HEADER_KEYS``
+    first, then sorted; ``None`` left out), ``# columns``, ``.9g`` rows of ``arrays``."""
+    meta = {**meta, **(extra_meta or {})}
+    keys = [*_HEADER_KEYS, *sorted(meta.keys() - set(_HEADER_KEYS))]
+    header = [f"# {k} = {meta[k]}" for k in keys if meta.get(k) is not None]
+    rows = map(" ".join(["{:.9g}"] * len(arrays)).format, *(a.tolist() for a in arrays))
+    with open(path, "w") as fh:
+        fh.write("\n".join([*header, f"# {columns}", *rows]) + "\n")
 
 
 def write_linelist(lines: LineList, path, extra_meta: dict | None = None):
     """Three-column export (frequency_MHz, intensity, weight), sorted."""
     ordered = lines.sorted()
-    meta = dict(ordered.meta)
-    meta.update(method=ordered.method, field=ordered.field.tolist())
-    if extra_meta:
-        meta.update(extra_meta)
-    rows = map(
-        "{:.9g} {:.9g} {:.9g}".format,
-        ordered.frequencies.tolist(),
-        ordered.intensities.tolist(),
-        ordered.weights.tolist(),
+    meta = {**ordered.meta, "method": ordered.method, "field": ordered.field.tolist()}
+    _write_table(
+        path, meta, extra_meta, "frequency_MHz intensity weight",
+        ordered.frequencies, ordered.intensities, ordered.weights,
     )
-    header = _format_header(meta)
-    header.append("# frequency_MHz intensity weight")
-    with open(path, "w") as fh:
-        fh.write("\n".join([*header, *rows]) + "\n")
 
 
 def write_spectrum(spectrum: Spectrum, path, extra_meta: dict | None = None):
     """Two-column export (frequency_MHz, intensity) with metadata header."""
-    meta = dict(spectrum.meta)
-    if extra_meta:
-        meta.update(extra_meta)
-    rows = map("{:.9g} {:.9g}".format, spectrum.grid.tolist(), spectrum.intensity.tolist())
-    header = _format_header(meta)
-    header.append("# frequency_MHz intensity")
-    with open(path, "w") as fh:
-        fh.write("\n".join([*header, *rows]) + "\n")
+    _write_table(
+        path, spectrum.meta, extra_meta, "frequency_MHz intensity",
+        spectrum.grid, spectrum.intensity,
+    )

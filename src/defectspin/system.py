@@ -94,15 +94,20 @@ class NuclearSite:
         object.__setattr__(
             self, "principal_values", tuple(float(v) for v in self.principal_values)
         )
+        if not all(map(math.isfinite, self.principal_values)):
+            raise ValueError("principal values must be finite")
         f = self.frame
         if f.shape != (3, 3):
             raise ValueError("frame must be 3x3")
-        if not np.allclose(f.T @ f, np.eye(3), atol=1e-10):
+        # rtol=0: the coupling warning needs ||A||_2 = max |principal value|.
+        if not np.allclose(f.T @ f, np.eye(3), rtol=0.0, atol=1e-10):
             raise ValueError("frame is not orthonormal")
         if not math.isclose(float(np.linalg.det(f)), 1.0, abs_tol=1e-10):
             raise ValueError("frame must be a proper rotation (det +1)")
         if self.efg is not None:
             v = np.asarray(self.efg, dtype=float)
+            if not np.isfinite(v).all():
+                raise ValueError("efg components must be finite")
             scale = max(float(np.abs(v).max()), 1e-30)
             if np.abs(v - v.T).max() > 1e-6 * scale:
                 raise ValueError("efg must be symmetric")
@@ -288,6 +293,23 @@ def dataset_path(name: str, directory: str | None = None) -> str:
     return os.path.join(directory or data_directory(), f"{name}.json")
 
 
+def read_text(path: str, what: str) -> str:
+    """Contents of the file at ``path``; ``what`` names it in the error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DatasetError(f"cannot read {what}: {exc}") from None
+
+
+def read_json(path: str, what: str):
+    """The JSON document at ``path``, read as ``read_text`` reads it."""
+    try:
+        return json.loads(read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
+
+
 def dataset_version(path: str | None = None) -> str:
     try:
         with open(path or dataset_path("defects")) as fh:
@@ -307,16 +329,7 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
     """
     if path is None:
         path = dataset_path("defects")
-    try:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(
-                    f"{path}: parse error at line {exc.lineno}: {exc.msg}"
-                ) from None
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset: {exc}") from None
+    doc = read_json(path, "dataset")
     raw_defects = doc.get("defects", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw_defects, list):
         raise DatasetError(f"{path}: expected a list of defect records")

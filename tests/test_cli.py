@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defectspin.cli import main
+from defectspin import cli
+from defectspin.cli import UsageError, main
+from defectspin.hamiltonian import DimensionError
+from defectspin.solvers import ZeroFieldError
 from defectspin.system import (
+    DatasetError,
     build_system,
     dataset_path,
     find_defect,
@@ -202,18 +206,39 @@ def test_hybrid_exact_shell_respects_dimension_cap(capsys):
     )
 
 
-
-def test_system_file_with_nan_principal_value_exits_one(capsys, tmp_path):
-    # json reads the NaN literal, and NuclearSite does not check that
-    # principal values are finite; the line list must still refuse them.
+@pytest.mark.parametrize("method", ["perturb2", "hybrid"])
+def test_system_file_with_nan_principal_value_exits_one(capsys, tmp_path, method):
+    # json reads the NaN literal; NuclearSite refuses it while the file is
+    # read, before a solver can turn it into a misleading message.
     data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
     data["sites"][1]["principal_values"][0] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(data))
-    code, out, err = _run(capsys, ["odmr", "--system", str(path)])
+    code, out, err = _run(capsys, ["odmr", "--system", str(path), "--method", method])
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
+    assert "principal values" in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read system file: "),
+        ('{"label": ', "{path}: parse error at line 1: Expecting value"),
+    ],
+    ids=["missing", "unparsable"],
+)
+def test_unreadable_system_file_exits_three(capsys, tmp_path, content, message):
+    path = tmp_path / "system.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, ["odmr", "--system", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("defectspin: dataset error: " + message.format(path=path))
+    assert len(err.splitlines()) == 1
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -362,6 +387,17 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
     assert "voltage" in err
 
 
+def test_config_parse_error_names_the_reason(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"B": 50,,}')
+    code, out, err = _run(capsys, ["odmr", "--config", str(cfg)])
+    assert (code, out) == (1, "")
+    assert err == (
+        f"defectspin: usage error: {cfg}: parse error at line 1: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+
+
 def test_compare_methods_rows(capsys):
     code, out, _ = _run(
         capsys, ["compare-methods", "--defect", "CN0", "--format", "csv"]
@@ -469,6 +505,31 @@ def test_ctl_accepts_text_records(capsys, tmp_path):
     assert "E\t(+1|0)\tcorrected\t3.810\ttentative" in diagram.read_text()
 
 
+def test_ctl_text_row_without_correction_column(capsys, tmp_path):
+    path = tmp_path / "records.dat"
+    path.write_text("A 0 -10.0\nA 1 -14.0\n")
+    with pytest.warns(UserWarning, match="A: missing charge -1"):
+        code, out, _ = _run(capsys, ["ctl", str(path), "--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1:] == ["A,(+1|0),4.00,4.00,-"]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("A 1 nan", "A: energy must be finite"),
+        ("A 1 -14.0 -0.3", "A: correction must be non-negative"),
+        ("A 1 -14.0 abc", "could not convert string to float: 'abc'"),
+    ],
+)
+def test_ctl_bad_text_value_exits_three(capsys, tmp_path, row, message):
+    path = tmp_path / "records.dat"
+    path.write_text(f"A 0 -10.0\n{row}\n")
+    code, out, err = _run(capsys, ["ctl", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"defectspin: dataset error: {path}: line 2: {message}\n"
+
+
 @pytest.mark.parametrize(
     "command",
     [["odmr", "--isotopes", "natural"], ["isotopes"]],
@@ -564,3 +625,33 @@ def test_readme_examples_match_cli(capsys):
         code, out, _ = _run(capsys, argv)
         assert code == 0
         assert [ln.rstrip() for ln in out.splitlines()] == expected
+
+
+@pytest.mark.parametrize(
+    "error, code, message",
+    [
+        (UsageError("u"), 1, "usage error: u"),
+        (DatasetError("d"), 3, "dataset error: d"),
+        (np.linalg.LinAlgError("eigh failed"), 2, "numerical failure: eigh failed"),
+        (DimensionError("too big"), 1, "too big"),
+        (ZeroFieldError("no field"), 1, "no field"),
+        (OSError("disk"), 1, "error: disk"),
+        (ValueError("bad"), 1, "error: bad"),
+        (KeyError("unknown defect 'X'"), 1, "error: unknown defect 'X'"),
+    ],
+)
+def test_exit_code_and_message_per_error_kind(capsys, monkeypatch, error, code, message):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_ctl", fail)
+    assert _run(capsys, ["ctl"]) == (code, "", f"defectspin: {message}\n")
+
+
+def test_unexpected_error_is_not_swallowed(monkeypatch):
+    def fail(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_ctl", fail)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["ctl"])

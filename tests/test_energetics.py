@@ -6,6 +6,7 @@ import pytest
 
 from defectspin.energetics import (
     INDIRECT_GAP_EV,
+    CtlResult,
     EnergyRecord,
     binding_energy,
     complex_binding_energies,
@@ -62,6 +63,22 @@ def test_unclear_correction_yields_none():
     assert level.flag == "unclear-correction"
     # the uncorrected variant still computes
     assert compute_ctl(neutral, minus, corrected=False).energy == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize(
+    "correction, corrected, energy, flag",
+    [
+        (None, True, None, "unclear"),      # an empty flag gives way
+        (None, False, 4.0, ""),
+        (0.5, True, 3.5, ""),
+        (0.5, False, 4.0, ""),
+    ],
+)
+def test_ctl_fields_with_empty_flag(correction, corrected, energy, flag):
+    level = compute_ctl(
+        _rec("X", 0, -10.0), _rec("X", 1, -14.0, correction, ""), corrected
+    )
+    assert level == CtlResult("X", "(+1|0)", energy, corrected, False, flag)
 
 
 def test_ctl_rejects_label_mismatch():
@@ -225,6 +242,45 @@ def test_load_records_from_text(tmp_path):
     assert records[2].flag == "unclear-correction"
 
 
+def test_text_row_without_correction_column_is_corrected_by_zero(tmp_path):
+    path = tmp_path / "e.dat"
+    path.write_text("A 0 -10.0\nA 1 -14.0\n")
+    with pytest.warns(UserWarning, match="missing charge -1"):
+        uncorrected, corrected = defect_levels(load_energy_records(str(path)))
+    assert corrected.corrected and not uncorrected.corrected
+    assert corrected.energy == uncorrected.energy == pytest.approx(4.0)
+    assert corrected.flag is None
+
+
+@pytest.mark.parametrize(
+    "row, record",
+    [
+        ("A 1 -14.0", dict(label="A", charge=1, energy_eV=-14.0, correction_eV=0.0)),
+        ("A 0 -10.0", dict(label="A", charge=0, energy_eV=-10.0)),
+        ("B -1 -5.0 0.3", dict(label="B", charge=-1, energy_eV=-5.0, correction_eV=0.3)),
+        ("C +1 2 - odd", dict(label="C", charge=1, energy_eV=2, flag="odd")),
+        ("D 1 3 0.25 f extra",
+         dict(label="D", charge=1, energy_eV=3, correction_eV=0.25, flag="f")),
+    ],
+)
+def test_text_row_equals_its_json_record(tmp_path, row, record):
+    text, doc = tmp_path / "e.dat", tmp_path / "e.json"
+    text.write_text(row + "\n")
+    doc.write_text(json.dumps([record]))
+    assert load_energy_records(str(text)) == load_energy_records(str(doc))
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf", "-inf"])
+def test_non_finite_energy_is_a_dataset_error_in_both_formats(tmp_path, energy):
+    text, doc = tmp_path / "e.dat", tmp_path / "e.json"
+    text.write_text(f"A 0 -1.0\nA 1 {energy}\n")
+    doc.write_text(json.dumps([{"label": "A", "charge": 1, "energy_eV": float(energy)}]))
+    with pytest.raises(DatasetError, match="line 2: A: energy must be finite"):
+        load_energy_records(str(text))
+    with pytest.raises(DatasetError, match="record #0: A: energy must be finite"):
+        load_energy_records(str(doc))
+
+
 def test_load_records_text_error_carries_line_number(tmp_path):
     path = tmp_path / "e.dat"
     path.write_text("A 0 -1.0\nA oops\n")
@@ -251,6 +307,14 @@ def test_load_complexes_shape():
     assert "CBCN-1" in names and "C2CN" in names
     for entry in table["complexes"]:
         assert len(entry["constituents"]) in (2, 3)
+
+
+def test_load_complexes_parse_error_names_the_reason(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"complexes": [}')
+    with pytest.raises(DatasetError) as info:
+        load_complexes(str(path))
+    assert str(info.value) == f"{path}: parse error at line 1: Expecting value"
 
 
 def test_gap_constant():

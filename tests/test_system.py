@@ -19,6 +19,7 @@ from defectspin.system import (
     expand_shell,
     find_defect,
     load_defect_dataset,
+    read_json,
 )
 
 
@@ -70,6 +71,39 @@ def test_site_rejects_improper_frame():
     bad[0, 0] = -1.0
     with pytest.raises(ValueError):
         NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), bad)
+
+
+def test_site_rejects_frame_skewed_inside_relative_tolerance():
+    # |F^T F - I| = 8e-6 with det 1: np.allclose's default rtol would pass
+    # it, and then ||A||_2 = 30.00024 exceeds max |principal value| = 30.
+    frame = np.diag([1.0 + 4e-6, 1.0 / (1.0 + 4e-6), 1.0])
+    with pytest.raises(ValueError, match="orthonormal"):
+        NuclearSite("N", 1.0, 0.0, (30.0, 20.0, 10.0), frame)
+
+
+@pytest.mark.parametrize("label", ["CB0", "CN0"])
+@pytest.mark.parametrize("carbon13", [False, True])
+def test_bundled_systems_survive_round_trip(label, carbon13):
+    record = find_defect(load_defect_dataset(), label)
+    system = build_system(record, {"C": "13C"} if carbon13 else None)
+    for site, _ in system.sites:
+        assert np.abs(site.frame.T @ site.frame - np.eye(3)).max() < 1e-15
+    clone = SpinSystem.from_dict(json.loads(json.dumps(system.to_dict())))
+    assert clone.to_dict() == system.to_dict()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_site_rejects_non_finite_principal_value(bad):
+    with pytest.raises(ValueError, match="principal values must be finite"):
+        NuclearSite("N", 1.0, 0.0, (1.0, bad, 3.0), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_site_rejects_non_finite_efg(bad):
+    efg = np.diag([1.0, 2.0, -3.0])
+    efg[0, 1] = efg[1, 0] = bad
+    with pytest.raises(ValueError, match="efg components must be finite"):
+        NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=efg)
 
 
 def test_site_rejects_nonsymmetric_efg():
@@ -201,6 +235,16 @@ def test_dataset_error_reports_line_number(tmp_path):
     bad.write_text('{"version": "1",\n "defects": [}\n')
     with pytest.raises(DatasetError, match="line"):
         load_defect_dataset(str(bad))
+
+
+def test_read_json_names_the_file_and_the_parse_error(tmp_path):
+    bad = tmp_path / "doc.json"
+    bad.write_text('{"a": 1,\n "b": }\n')
+    with pytest.raises(DatasetError) as info:
+        read_json(str(bad), "widget file")
+    assert str(info.value) == f"{bad}: parse error at line 2: Expecting value"
+    with pytest.raises(DatasetError, match="^cannot read widget file: "):
+        read_json(str(tmp_path / "missing.json"), "widget file")
 
 
 def test_dataset_rejects_unknown_element(tmp_path):
