@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -258,9 +259,9 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
 
 
 def _export_meta(args) -> dict:
-    """Export header: every setting but the handler, config and export paths."""
+    """Export header: every setting but the config and export paths."""
     meta = {}
-    skip = ("func", "config", "out_lines", "out_spectrum")
+    skip = ("config", "out_lines", "out_spectrum")
     for key, value in vars(args).items():
         if value is not None and key not in skip:
             meta[key] = list(value) if isinstance(value, tuple) else value
@@ -456,7 +457,13 @@ def _add_spectroscopy(p: argparse.ArgumentParser):
     p.set_defaults(exact_shell=1, include_nqi=False, carbon13=False, element="B")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> tuple[_Parser, dict]:
+    """The parser and its subparsers by command, built once per process.
+
+    Every ``main`` call shares them, so a call must leave them as it found
+    them. Subcommand ``x-y`` runs ``cmd_x_y``.
+    """
     parser = _Parser(prog="defectspin", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -485,12 +492,10 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--out-spectrum", default=None, dest="out_spectrum")
     p.add_argument("--out-lines", default=None, dest="out_lines")
     _add_common(p)
-    p.set_defaults(func=cmd_odmr)
 
     p = sub.add_parser("compare-methods", help="one row per solver approach")
     _add_spectroscopy(p)
     _add_common(p)
-    p.set_defaults(func=cmd_compare_methods)
 
     p = sub.add_parser("isotopes", help="per-pattern isotopologue statistics")
     _add_spectroscopy(p)
@@ -498,27 +503,23 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--pattern", default=None,
                    help="restrict to one explicit pattern, e.g. 11B:3")
     _add_common(p)
-    p.set_defaults(func=cmd_isotopes)
 
     p = sub.add_parser("ctl", help="charge transition levels from energy records")
     p.add_argument("records", nargs="?", default=None,
                    help="energy records (JSON or delimited text); bundled by default")
     p.add_argument("--diagram", default=None, help="write plot-ready diagram text")
     _add_common(p)
-    p.set_defaults(func=cmd_ctl)
 
     p = sub.add_parser("binding", help="complex binding energies")
     p.add_argument("records", nargs="?", default=None)
     p.add_argument("--complexes", default=None, help="complex composition table")
     _add_common(p)
-    p.set_defaults(func=cmd_binding)
 
     p = sub.add_parser("export-dataset", help="copy bundled data files")
     p.add_argument("--what", choices=("defects", "energies", "complexes", "all"),
                    default="all")
     p.add_argument("--dest", default=".")
     _add_common(p)
-    p.set_defaults(func=cmd_export_dataset)
 
     return parser, sub.choices
 
@@ -583,11 +584,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # Config values become the subcommand's defaults, so a second
-            # parse lets every explicit flag win over them.
+            # parse lets every explicit flag win over them. The parser is
+            # shared with later calls: put its own defaults back.
             sub = subparsers[args.command]
-            sub.set_defaults(**_config_defaults(sub, args.command, args.config))
-            args = parser.parse_args(argv)
-        return args.func(args)
+            defaults = _config_defaults(sub, args.command, args.config)
+            saved = {dest: sub.get_default(dest) for dest in defaults}
+            sub.set_defaults(**defaults)
+            try:
+                args = parser.parse_args(argv)
+            finally:
+                sub.set_defaults(**saved)
+        # Looked up now, not when the parser was built: a rebound handler runs.
+        handler = globals()["cmd_" + args.command.replace("-", "_")]
+        return handler(args)
     except tuple(kind for kinds, _, _ in _EXITS for kind in kinds) as exc:
         code, prefix = next((c, p) for kinds, c, p in _EXITS if isinstance(exc, kinds))
         # A KeyError's str() quotes its message; print it bare.

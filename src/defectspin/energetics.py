@@ -186,11 +186,18 @@ def ctl_diagram(records) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _charge(value) -> int:
+    """A JSON integer or a text token ``int()`` reads; never a float or bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"charge must be an integer, got {value!r}")
+    return int(value)
+
+
 def _record_from_json(raw: dict, where: str) -> EnergyRecord:
     try:
         return EnergyRecord(
             label=raw["label"],
-            charge=int(raw["charge"]),
+            charge=_charge(raw["charge"]),
             energy=float(raw["energy_eV"]),
             correction=(
                 None if raw.get("correction_eV") is None else float(raw["correction_eV"])

@@ -30,6 +30,7 @@ all quadrupole matrix elements below 1 MHz.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -199,6 +200,10 @@ class ShellEntry:
     core_contribution: float | None = None
     efg: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.efg is not None:
+            object.__setattr__(self, "efg", _readonly(self.efg))
+
     def bare_principal_values(self) -> tuple[float, float, float]:
         """Principal values with the isotropic core contribution removed."""
         if self.core_contribution is None:
@@ -302,20 +307,31 @@ def read_text(path: str, what: str) -> str:
         raise DatasetError(f"cannot read {what}: {exc}") from None
 
 
-def read_json(path: str, what: str):
-    """The JSON document at ``path``, read as ``read_text`` reads it."""
+def _parse_json(text: str, path: str):
+    """The JSON document ``text`` read from ``path``, which errors name."""
     try:
-        return json.loads(read_text(path, what))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: parse error at line {exc.lineno}: {exc.msg}") from None
 
 
+def read_json(path: str, what: str):
+    """The JSON document at ``path``, read as ``read_text`` reads it."""
+    return _parse_json(read_text(path, what), path)
+
+
 def dataset_version(path: str | None = None) -> str:
+    """The ``version`` of the defect dataset at ``path``; ``unversioned``
+    when the file cannot be read or has no version (a bare list)."""
+    path = path or dataset_path("defects")
     try:
-        with open(path or dataset_path("defects")) as fh:
-            return str(json.load(fh).get("version", "unversioned"))
-    except OSError:
+        text = read_text(path, "dataset")
+    except DatasetError:
         return "unversioned"
+    doc = _parse_json(text, path)
+    if not isinstance(doc, dict):
+        return "unversioned"
+    return str(doc.get("version", "unversioned"))
 
 
 def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
@@ -326,10 +342,21 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
     ``label``, optional ``zpl_eV``, optional ``notes`` and a ``sites`` list
     of shell entries ``{element, count, shell, Axx, Ayy, Azz,
     core_contribution?, efg?}``.
+
+    Every call reads the file, but a content parsed before is not parsed
+    again: its records, which are immutable, are reused in a new list.
     """
     if path is None:
         path = dataset_path("defects")
-    doc = read_json(path, "dataset")
+    return list(_parse_defects(path, read_text(path, "dataset")))
+
+
+# Keyed by content, not mtime: a file rewritten within one mtime tick to the
+# same size must not be served stale. Errors are raised, never cached.
+@functools.lru_cache(maxsize=8)
+def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
+    """The records of the defect dataset ``text`` read from ``path``."""
+    doc = _parse_json(text, path)
     raw_defects = doc.get("defects", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw_defects, list):
         raise DatasetError(f"{path}: expected a list of defect records")
@@ -352,7 +379,7 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
                 notes=raw.get("notes", ""),
             )
         )
-    return records
+    return tuple(records)
 
 
 def find_defect(records: list[DefectRecord], label: str) -> DefectRecord:

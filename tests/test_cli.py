@@ -182,6 +182,34 @@ def test_corrupt_dataset_exits_three(capsys, tmp_path):
     assert "dataset error" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_bare_list_dataset_is_unversioned(capsys, tmp_path, fmt):
+    doc = json.loads(Path(dataset_path("defects")).read_text())
+    (tmp_path / "defects.json").write_text(json.dumps(doc["defects"]))
+    argv = ["odmr", "--defect", "CN0", "--data", str(tmp_path), "--format", fmt]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    if fmt == "csv":
+        assert json.loads(out.splitlines()[0][2:])["dataset_version"] == "unversioned"
+
+
+def test_unparsable_dataset_beside_a_system_file_exits_three(capsys, tmp_path):
+    system = build_system(find_defect(load_defect_dataset(), "CN0"))
+    path = tmp_path / "cn0.json"
+    path.write_text(json.dumps(system.to_dict()))
+    argv = ["odmr", "--system", str(path), "--data", str(tmp_path), "--format", "csv"]
+    code, out, _ = _run(capsys, argv)                   # no defects.json: unversioned
+    assert code == 0
+    assert json.loads(out.splitlines()[0][2:])["dataset_version"] == "unversioned"
+    (tmp_path / "defects.json").write_text("{\n,}")
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"defectspin: dataset error: {tmp_path / 'defects.json'}: parse error at "
+        "line 2: Expecting property name enclosed in double quotes\n"
+    )
+
+
 def test_missing_dataset_dir_exits_three(capsys, tmp_path):
     code, _, err = _run(
         capsys, ["odmr", "--defect", "CB0", "--data", str(tmp_path / "nope")]
@@ -377,6 +405,18 @@ def test_config_names_a_positional_argument(capsys, tmp_path):
     code, out, err = _run(capsys, ["ctl", "--config", str(cfg), "--format", "csv"])
     assert code == 0, err
     assert out.splitlines()[1:] == ["D,(+1|0),3.81,4.11,-"]
+
+
+def test_config_defaults_do_not_outlive_their_call(capsys, tmp_path):
+    # main shares one parser across calls; a --config call must leave it as built.
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"B": 120, "method": "perturb1"}))
+    plain = ["odmr", "--defect", "CN0"]
+    before = _run(capsys, plain)
+    code, out, err = _run(capsys, [*plain, "--config", str(cfg)])
+    assert code == 0, err
+    assert "method perturb1  B 120 G" in out
+    assert _run(capsys, plain) == before
 
 
 def test_config_rejects_unknown_key(capsys, tmp_path):

@@ -281,6 +281,19 @@ def test_non_finite_energy_is_a_dataset_error_in_both_formats(tmp_path, energy):
         load_energy_records(str(doc))
 
 
+@pytest.mark.parametrize("charge", [1.9, 1.0, True])
+def test_json_charge_must_be_an_integer(tmp_path, charge):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps([{"label": "A", "charge": charge, "energy_eV": -2.0}]))
+    with pytest.raises(DatasetError) as info:
+        load_energy_records(str(path))
+    assert str(info.value) == (
+        f"{path}: record #0: charge must be an integer, got {charge!r}"
+    )
+    path.write_text(json.dumps([{"label": "A", "charge": 1, "energy_eV": -2.0}]))
+    assert load_energy_records(str(path))[0].charge == 1
+
+
 def test_load_records_text_error_carries_line_number(tmp_path):
     path = tmp_path / "e.dat"
     path.write_text("A 0 -1.0\nA oops\n")

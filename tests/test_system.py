@@ -154,6 +154,54 @@ def test_dataset_loads_and_reports_version():
     assert "CB0" in labels and "CN0" in labels
 
 
+def test_dataset_version_of_unreadable_bare_and_broken_files(tmp_path):
+    path = tmp_path / "defects.json"
+    assert dataset_version(str(path)) == "unversioned"          # cannot be opened
+    path.write_text("[]")
+    assert dataset_version(str(path)) == "unversioned"
+    path.write_text('{"version": 2,\n "defects": [}')
+    with pytest.raises(DatasetError) as info:
+        dataset_version(str(path))
+    assert str(info.value) == f"{path}: parse error at line 2: Expecting value"
+
+
+def _one_defect(path, axx):
+    """Write a dataset of one defect with one first-neighbor shell."""
+    site = {"element": "N", "count": 3, "shell": 1, "Axx": axx, "Ayy": 2.0, "Azz": 3.0,
+            "efg": [-1.0, -1.0, 2.0, 0.0, 0.0, 0.0]}
+    doc = {"version": "1", "defects": [{"label": "X0", "sites": [site]}]}
+    path.write_text(json.dumps(doc))
+
+
+def test_dataset_rewritten_to_the_same_size_is_parsed_again(tmp_path):
+    path = tmp_path / "defects.json"
+    _one_defect(path, 1.0)
+    size = path.stat().st_size
+    assert load_defect_dataset(str(path))[0].shells[0].principal_values[0] == 1.0
+    _one_defect(path, 7.0)
+    assert path.stat().st_size == size
+    assert load_defect_dataset(str(path))[0].shells[0].principal_values[0] == 7.0
+
+
+def test_loaded_records_cannot_change_the_next_load(tmp_path):
+    path = tmp_path / "defects.json"
+    _one_defect(path, 1.0)
+    records = load_defect_dataset(str(path))
+    records.clear()
+    records = load_defect_dataset(str(path))
+    assert [r.label for r in records] == ["X0"]
+    assert not records[0].shells[0].efg.flags.writeable
+    assert not records[0].sites[0].efg.flags.writeable
+
+
+def test_broken_dataset_fails_on_every_load(tmp_path):
+    path = tmp_path / "defects.json"
+    path.write_text('{"defects": [{"sites": []}]}')
+    for _ in range(2):
+        with pytest.raises(DatasetError, match="missing mandatory field 'label'"):
+            load_defect_dataset(str(path))
+
+
 def test_data_directory_env_override(monkeypatch, tmp_path):
     monkeypatch.setenv("DEFECTSPIN_DATA", str(tmp_path))
     assert data_directory() == str(tmp_path)
