@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 # Electron Zeeman prefactor mu_B/h, MHz per Gauss per unit g.
 ELECTRON_ZEEMAN_MHZ_PER_G = 1.3996246
@@ -55,6 +55,9 @@ class Isotope:
     q_conversion : float
         EFG-to-quadrupole conversion constant in MHz per (V/A^2).
         Zero exactly when I < 1 (no quadrupole moment).
+    element : str
+        The symbol without its mass number, e.g. ``"B"``; derived once at
+        construction.
     """
 
     symbol: str
@@ -63,8 +66,10 @@ class Isotope:
     g_n: float
     abundance: float
     q_conversion: float
+    element: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "element", re.sub(r"^\d+", "", self.symbol))
         twice = 2.0 * self.spin
         if self.spin < 0 or abs(twice - round(twice)) > 1e-12:
             raise ValueError(f"{self.symbol}: spin must be a non-negative half-integer")
@@ -72,10 +77,6 @@ class Isotope:
             raise ValueError(f"{self.symbol}: abundance outside [0, 1]")
         if (self.spin < 1.0) != (self.q_conversion == 0.0):
             raise ValueError(f"{self.symbol}: q_conversion must be zero iff I < 1")
-
-    @property
-    def element(self) -> str:
-        return re.sub(r"^\d+", "", self.symbol)
 
     @property
     def multiplicity(self) -> int:

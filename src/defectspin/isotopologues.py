@@ -9,7 +9,6 @@ another of the same element.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 
@@ -144,8 +143,9 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
             symbol = next(pending[key])
             if symbol != iso.symbol:
                 new_iso = lookup(symbol)
-                pv = tuple(rescale_hyperfine(site.principal_values, iso, new_iso))
-                site = dataclasses.replace(site, principal_values=pv)
+                site = site._with_principal_values(
+                    rescale_hyperfine(site.principal_values, iso, new_iso)
+                )
                 iso = new_iso
         new_sites.append((site, iso))
     label = f"{system.label}[{pattern.describe()}]"

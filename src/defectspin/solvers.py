@@ -232,7 +232,9 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     shifts, probs = np.zeros(1), np.ones(1)
     for members in groups:
         counts, p = _group_classes(len(members), members[0].size)
-        table = members[0] if len(members) == 1 else np.mean(members, axis=0)
+        # sum / k is np.mean's arithmetic (same bits) without its wrapper.
+        table = (members[0] if len(members) == 1
+                 else np.array(members).sum(axis=0) / len(members))
         shifts = np.add.outer(shifts, counts @ table).ravel()
         probs = np.multiply.outer(probs, p).ravel()
     return shifts, probs

@@ -30,6 +30,7 @@ all quadrupole matrix elements below 1 MHz.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import math
@@ -72,6 +73,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _finite_values(values) -> tuple[float, ...]:
+    values = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, values)):
+        raise ValueError("principal values must be finite")
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class NuclearSite:
     """One lattice site near the defect.
@@ -93,10 +101,8 @@ class NuclearSite:
     def __post_init__(self):
         object.__setattr__(self, "frame", _readonly(self.frame))
         object.__setattr__(
-            self, "principal_values", tuple(float(v) for v in self.principal_values)
+            self, "principal_values", _finite_values(self.principal_values)
         )
-        if not all(map(math.isfinite, self.principal_values)):
-            raise ValueError("principal values must be finite")
         f = self.frame
         if f.shape != (3, 3):
             raise ValueError("frame must be 3x3")
@@ -121,6 +127,13 @@ class NuclearSite:
     def hyperfine_tensor(self) -> np.ndarray:
         """Full 3x3 hyperfine tensor in the crystal frame, MHz."""
         return self.frame @ np.diag(self.principal_values) @ self.frame.T
+
+    def _with_principal_values(self, values) -> "NuclearSite":
+        """This site with other (checked) principal values. The frame and
+        EFG, checked and read-only, are shared rather than checked again."""
+        site = copy.copy(self)
+        object.__setattr__(site, "principal_values", _finite_values(values))
+        return site
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import warnings
@@ -20,7 +21,13 @@ from defectspin.isotopologues import (
 )
 from defectspin.solvers import MODE_ACONST, MODE_FULL
 from defectspin.spectrum import peak_stats
-from defectspin.system import build_system, find_defect, load_defect_dataset
+from defectspin.system import (
+    NuclearSite,
+    SpinSystem,
+    build_system,
+    find_defect,
+    load_defect_dataset,
+)
 
 FIELD = np.array([0.0, 0.0, 42.0])
 
@@ -119,6 +126,34 @@ def test_apply_pattern_rescales_tensor():
         np.array(site_old.principal_values) * (0.600 / 1.792),
         atol=1e-12,
     )
+
+
+def test_apply_pattern_rescales_as_a_rebuilt_site_would():
+    system = _load("CB0")
+    swapped = apply_pattern(system, enumerate_patterns(system)[-1])  # all 10B
+    for (old, iso), (new, new_iso) in zip(system.sites, swapped.sites):
+        if iso is new_iso:
+            assert new is old
+            continue
+        rebuilt = dataclasses.replace(
+            old, principal_values=rescale_hyperfine(old.principal_values, iso, new_iso)
+        )
+        assert new.principal_values == rebuilt.principal_values
+        assert all(type(v) is float for v in new.principal_values)
+        # The checked, read-only frame and EFG are shared, not rebuilt.
+        assert new.frame is old.frame and new.efg is old.efg
+        assert (new.element, new.shell_distance, new.bond_azimuth, new.group_id) == (
+            old.element, old.shell_distance, old.bond_azimuth, old.group_id)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+def test_apply_pattern_rejects_rescale_overflow():
+    # 1e308 MHz is finite on 10B, but the 11B/10B g-factor ratio (~3) makes it inf.
+    site = NuclearSite("B", 1.0, 0.0, (1.0, 2.0, 1e308), np.eye(3), group_id="g")
+    system = SpinSystem("big", ((site, lookup("10B")),))
+    pattern = IsotopePattern((("g", (("11B", 1), ("10B", 0))),), 1.0)
+    with pytest.raises(ValueError, match="principal values must be finite"):
+        apply_pattern(system, pattern)
 
 
 def test_apply_pattern_leaves_other_elements_untouched():

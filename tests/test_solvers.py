@@ -16,6 +16,7 @@ from defectspin.solvers import (
     MODE_FULL,
     LineList,
     ZeroFieldError,
+    _group_classes,
     _shift_distribution,
     _shift_tables,
     electron_axis,
@@ -660,3 +661,26 @@ def test_grouping_puts_a_nan_table_in_a_group_of_its_own():
     assert shifts.size == probs.size == 3 * 2 * 2
     assert np.isnan(shifts).any()
     assert probs.sum() == pytest.approx(1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    head=st.lists(st.floats(-500.0, 500.0), min_size=1, max_size=7),
+    size=st.integers(2, 7),
+    data=st.data(),
+)
+def test_group_mean_is_np_mean_bit_for_bit(head, size, data):
+    # Tables within the 1e-9 MHz tolerance of the head form one group; its
+    # classes must come from exactly the table np.mean would give.
+    head = np.array(head)
+    offset = st.floats(-4e-10, 4e-10)
+    members = [head] + [
+        head + np.array(data.draw(st.lists(offset, min_size=head.size, max_size=head.size)))
+        for _ in range(size - 1)
+    ]
+    assume(all(np.abs(head - t).max() <= 1e-9 for t in members))
+    shifts, probs = _shift_distribution(members)
+    counts, p = _group_classes(size, head.size)
+    expected = np.add.outer(np.zeros(1), counts @ np.mean(members, axis=0)).ravel()
+    assert shifts.tobytes() == expected.tobytes()
+    assert probs.tobytes() == np.multiply.outer(np.ones(1), p).ravel().tobytes()

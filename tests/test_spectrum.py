@@ -356,3 +356,107 @@ def test_peak_stats_invariant_when_coincident_lines_merge(sticks, window):
         _stats_tuple(merged, window),
         _stats_tuple(_lines(freqs, weights=weights, intensities=intens), window),
     )
+
+
+def _copying_peak_stats(lines, window):
+    """peak_stats as it was before the all-inside fast path: the lines inside
+    the window are always copied out first."""
+    lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ValueError("window must satisfy lo < hi")
+    mass = lines.weights * lines.intensities
+    total = float(mass.sum())
+    inside = (lines.frequencies >= lo) & (lines.frequencies <= hi)
+    m = mass[inside]
+    if m.size == 0 or m.sum() <= 0.0:
+        raise ValueError("no line with positive mass inside the analysis window")
+    f = lines.frequencies[inside]
+    m_sum = float(m.sum())
+    center = float((m * f).sum() / m_sum)
+    sigma = float(math.sqrt(max((m * (f - center) ** 2).sum() / m_sum, 0.0)))
+    return center, sigma, GAUSSIAN_FWHM_FACTOR * sigma, m_sum / total if total > 0 else 0.0
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# Sizes past 128 reach numpy's pairwise-summation blocks, where a change of
+# summation order would show in the last bits.
+@settings(max_examples=300, deadline=None)
+@given(
+    freqs=st.lists(st.floats(-50.0, 400.0), min_size=1, max_size=300),
+    data=st.data(),
+)
+def test_peak_stats_matches_copying_reference_bit_for_bit(freqs, data):
+    n = len(freqs)
+    unit = st.floats(0.0, 1.0) | st.just(0.0)
+    weights = data.draw(st.lists(unit, min_size=n, max_size=n))
+    intens = data.draw(st.lists(unit, min_size=n, max_size=n))
+    lines = _lines(freqs, weights=weights, intensities=intens)
+    lo, hi = min(freqs), max(freqs)
+    mid = data.draw(st.floats(lo, hi))
+    window = data.draw(st.sampled_from([
+        (-math.inf, math.inf), (lo, hi), (lo, math.inf),   # every line inside
+        (mid, math.inf), (-math.inf, mid), (mid, hi),      # some lines
+        (hi + 1.0, math.inf), (-math.inf, lo - 1.0),       # none
+    ]))
+    try:
+        expected = _copying_peak_stats(lines, window)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            peak_stats(lines, window)
+        return
+    stats = peak_stats(lines, window)
+    assert stats.window == (float(window[0]), float(window[1]))
+    assert _bits([stats.center, stats.sigma, stats.fwhm_gauss,
+                  stats.included_weight_fraction]) == _bits(expected)
+
+
+def _format_writer(path, meta, extra_meta, columns, *arrays):
+    """The export writer as it was: one ``"{:.9g}".format`` call per row."""
+    meta = {**meta, **(extra_meta or {})}
+    first = ("field", "method", "seed", "shift", "window")
+    keys = [*first, *sorted(meta.keys() - set(first))]
+    header = [f"# {k} = {meta[k]}" for k in keys if meta.get(k) is not None]
+    rows = map(" ".join(["{:.9g}"] * len(arrays)).format, *(a.tolist() for a in arrays))
+    with open(path, "w") as fh:
+        fh.write("\n".join([*header, f"# {columns}", *rows]) + "\n")
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e22, 1234567890.0, 0.1 + 0.2, 123456789.5,
+                -3.5e-7, 1.0 / 3.0, 1e-300, 2.0**53 + 2.0, 7.0]
+
+
+@pytest.mark.parametrize(
+    "freqs", [[], [117.5], _EDGE_VALUES, [-v for v in _EDGE_VALUES]],
+    ids=["empty", "one-row", "edge-values", "negated"],
+)
+def test_write_linelist_bytes_match_format_writer(tmp_path, freqs):
+    lines = _lines(freqs, weights=[abs(v) for v in reversed(freqs)],
+                   intensities=[abs(v) for v in freqs])
+    lines.meta.update(seed=5, note="x")
+    write_linelist(lines, tmp_path / "fast.tsv", extra_meta={"shift": -0.0, "skip": None})
+    ordered = lines.sorted()
+    _format_writer(
+        tmp_path / "slow.tsv",
+        {**ordered.meta, "method": ordered.method, "field": ordered.field.tolist()},
+        {"shift": -0.0, "skip": None}, "frequency_MHz intensity weight",
+        ordered.frequencies, ordered.intensities, ordered.weights,
+    )
+    assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "grid, intensity",
+    [([], []), ([-0.0], [5e-324]), ([-1e22, 1e22], [-0.0, 1234567890.0]),
+     (np.linspace(-0.0, 3.0, 7), np.abs(_EDGE_VALUES[:7]))],
+    ids=["empty", "one-row", "two-rows", "edge-values"],
+)
+def test_write_spectrum_bytes_match_format_writer(tmp_path, grid, intensity):
+    spec = Spectrum(np.array(grid, dtype=float), np.array(intensity, dtype=float),
+                    {"method": "test", "per_line_width": 1.0})
+    write_spectrum(spec, tmp_path / "fast.tsv", extra_meta={"seed": 2})
+    _format_writer(tmp_path / "slow.tsv", spec.meta, {"seed": 2},
+                   "frequency_MHz intensity", spec.grid, spec.intensity)
+    assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
