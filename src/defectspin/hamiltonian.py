@@ -96,7 +96,8 @@ def efg_to_quadrupole(efg: np.ndarray, isotope: Isotope) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class HamiltonianMatrix:
     """Assembled Hamiltonian with its term mask and factor dimensions;
-    ``ValueError`` unless the matrix is Hermitian to 1e-9 of its largest entry."""
+    ``ValueError`` unless the matrix is finite and Hermitian to 1e-9 of its
+    largest entry."""
 
     matrix: np.ndarray
     terms: frozenset
@@ -104,7 +105,10 @@ class HamiltonianMatrix:
     field: np.ndarray
 
     def __post_init__(self):
-        scale = max(float(np.abs(self.matrix).max()), 1e-30)
+        largest = float(np.abs(self.matrix).max())
+        if not math.isfinite(largest):          # NaN compares false below
+            raise ValueError("Hamiltonian must be finite")
+        scale = max(largest, 1e-30)
         if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-9 * scale:
             raise ValueError("Hamiltonian must be Hermitian")
 
@@ -153,13 +157,15 @@ def build_hamiltonian(
 
     Raises ``DimensionError`` when the Hilbert space exceeds
     ``dimension_cap`` (use the hybrid solver for such systems) and
-    ``ValueError`` when NQI is requested for a quadrupolar site without an
-    EFG tensor.
+    ``ValueError`` for a field that is not a finite 3-vector or when NQI is
+    requested for a quadrupolar site without an EFG tensor.
     """
     mask = normalize_terms(terms)
     b = np.asarray(field, dtype=float)
     if b.shape != (3,):
         raise ValueError("field must be a 3-vector in Gauss")
+    if not np.isfinite(b).all():
+        raise ValueError(f"field must be finite, got {b.tolist()}")
     dims = (2,) + system.site_dimensions()
     n = system.dimension
     if n > dimension_cap:

@@ -102,7 +102,8 @@ def rescale_hyperfine(a, from_isotope, to_isotope):
 
     Works on principal-value triples and full 3x3 tensors alike. Both
     isotopes must belong to the same element, and the source must have a
-    nonzero g-factor.
+    nonzero g-factor. A product that overflows comes back as inf without a
+    numpy warning; ``apply_pattern`` rejects it with a ``ValueError``.
     """
     src = from_isotope if not isinstance(from_isotope, str) else lookup(from_isotope)
     dst = to_isotope if not isinstance(to_isotope, str) else lookup(to_isotope)
@@ -112,7 +113,8 @@ def rescale_hyperfine(a, from_isotope, to_isotope):
         )
     if src.g_n == 0.0:
         raise ValueError(f"{src.symbol} carries no hyperfine coupling to rescale")
-    return np.asarray(a, dtype=float) * (dst.g_n / src.g_n)
+    with np.errstate(over="ignore"):
+        return np.asarray(a, dtype=float) * (dst.g_n / src.g_n)
 
 
 def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:

@@ -1,17 +1,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import defectspin
 from defectspin import cli
 from defectspin.cli import UsageError, main
 from defectspin.hamiltonian import DimensionError
+from defectspin.isotopes import lookup
 from defectspin.solvers import ZeroFieldError
 from defectspin.system import (
     DatasetError,
+    NuclearSite,
+    SpinSystem,
     build_system,
     dataset_path,
     find_defect,
@@ -247,6 +254,23 @@ def test_system_file_with_nan_principal_value_exits_one(capsys, tmp_path, method
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "principal values" in err
+
+
+def test_rescale_overflow_prints_only_the_error_line(tmp_path):
+    # 1e308 MHz is finite on 10B and inf on 11B. pytest records warnings
+    # instead of printing them, so a fresh interpreter shows what a user sees.
+    site = NuclearSite("B", 1.0, 0.0, (1.0, 2.0, 1e308), np.eye(3), group_id="g")
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(SpinSystem("big", ((site, lookup("10B")),)).to_dict()))
+    env = dict(os.environ, PYTHONPATH=str(Path(defectspin.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "defectspin.cli", "odmr", "--system", str(path),
+         "--isotopes", "natural"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "defectspin: error: principal values must be finite\n"
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,21 @@ def test_non_hermitian_matrix_rejected():
         HamiltonianMatrix(matrix, frozenset({"ezi"}), (2,), FIELD)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_rejected(bad):
+    # A NaN entry fails every comparison, so the Hermitian check alone passes it.
+    matrix = np.array([[1.0, 0.0], [0.0, bad]], dtype=complex)
+    with pytest.raises(ValueError, match="finite"):
+        HamiltonianMatrix(matrix, frozenset({"ezi"}), (2,), FIELD)
+
+
+@pytest.mark.parametrize("field", [(0.0, 0.0, np.nan), (np.inf, 0.0, 42.0), (0.0, -np.inf, 1.0)])
+def test_non_finite_field_rejected(field):
+    system = SpinSystem("t", ((_site("B", (1.0, 1.0, 2.0)), lookup("11B")),))
+    with pytest.raises(ValueError, match="field must be finite"):
+        build_hamiltonian(system, np.array(field))
+
+
 def test_unknown_term_rejected():
     with pytest.raises(ValueError):
         normalize_terms(("ezi", "zfs"))

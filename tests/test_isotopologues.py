@@ -146,7 +146,6 @@ def test_apply_pattern_rescales_as_a_rebuilt_site_would():
             old.element, old.shell_distance, old.bond_azimuth, old.group_id)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 def test_apply_pattern_rejects_rescale_overflow():
     # 1e308 MHz is finite on 10B, but the 11B/10B g-factor ratio (~3) makes it inf.
     site = NuclearSite("B", 1.0, 0.0, (1.0, 2.0, 1e308), np.eye(3), group_id="g")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defectspin.hamiltonian import build_hamiltonian
+from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
 from defectspin.solvers import (
     INTENSITY_FLOOR,
@@ -16,6 +16,8 @@ from defectspin.solvers import (
     MODE_FULL,
     LineList,
     ZeroFieldError,
+    _DEGENERACY_TOLERANCE,
+    _block_pairs,
     _group_classes,
     _shift_distribution,
     _shift_tables,
@@ -30,6 +32,7 @@ from defectspin.spectrum import peak_stats
 from defectspin.system import (
     NuclearSite,
     SpinSystem,
+    axial_frame,
     build_system,
     find_defect,
     load_defect_dataset,
@@ -71,8 +74,9 @@ def _raw_lines(system, field, order=2, mode=MODE_FULL):
     return LineList("raw", field, freqs, np.ones(count), np.full(count, 1.0 / count))
 
 
-def _assert_same_distribution(lines, reference, tol=1e-7):
-    """Equal weight and mass per frequency; frequencies match within ``tol``.
+def _assert_same_distribution(lines, reference, tol=1e-7, atol=1e-12):
+    """Equal weight and mass (to ``atol``) per frequency; frequencies match
+    within ``tol``.
 
     Both lists are binned on the clusters of their joint frequencies (gaps
     wider than ``tol`` MHz separate clusters), so a line and its rounded
@@ -88,7 +92,7 @@ def _assert_same_distribution(lines, reference, tol=1e-7):
     for values in (lambda ll: ll.weights, lambda ll: ll.weights * ll.intensities):
         np.testing.assert_allclose(
             binned(lines, values(lines)), binned(reference, values(reference)),
-            rtol=0.0, atol=1e-12,
+            rtol=0.0, atol=atol,
         )
 
 
@@ -204,16 +208,76 @@ def test_exact_output_sorted_ascending():
     assert np.all(lines.frequencies > 0)
 
 
-def _dense_moment_lines(h, intensity_floor):
-    """Exact lines with S_x embedded as a dense matrix: |U^H (S_x (x) 1) U|^2."""
+def _dense_moment_lines(h, intensity_floor, parity_allowed=False):
+    """Exact lines with S_x embedded as a dense matrix: |U^H (S_x (x) 1) U|^2.
+
+    With ``parity_allowed``, only the pairs whose eigenvectors lie in
+    different parity blocks (H must split) are kept.
+    """
     energies, states = np.linalg.eigh(h.matrix)
     sx = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.eye(h.dimension // 2))
     moments = np.abs(states.conj().T @ sx @ states) ** 2
     ii, fi = np.triu_indices(h.dimension, k=1)
+    if parity_allowed:
+        block = np.rint((np.abs(states[_parity(h) == 1]) ** 2).sum(axis=0))
+        across = block[fi] != block[ii]
+        ii, fi = ii[across], fi[across]
     freqs, intens = energies[fi] - energies[ii], moments[fi, ii]
     keep = intens >= intensity_floor * intens.max()
     order = np.lexsort((intens[keep], freqs[keep]))
     return freqs[keep][order], intens[keep][order]
+
+
+def _full_solve_lines(h, intensity_floor=INTENSITY_FLOOR):
+    """``exact_transitions`` as it ran before the parity blocks: one ``eigh``
+    of the whole H, moments from the electron halves of the eigenvectors."""
+    energies, states = np.linalg.eigh(h.matrix)
+    half = h.dimension // 2
+    x = states[:half].conj().T @ states[half:]
+    ii, fi = np.triu_indices(len(energies), k=1)
+    freqs = energies[fi] - energies[ii]
+    intens = np.abs(0.5 * (x[fi, ii] + x[ii, fi].conj())) ** 2
+    keep = intens >= intensity_floor * intens.max()
+    freqs, intens = freqs[keep], intens[keep]
+    order = np.lexsort((intens, freqs))
+    return freqs[order], intens[order]
+
+
+def _parity(h):
+    """Sum of factor indices mod 2 of every basis state."""
+    return np.indices(h.dims).sum(axis=0).ravel() % 2
+
+
+def _off_block(h):
+    parity = _parity(h)
+    return h.matrix[parity[:, None] != parity]
+
+
+def _assert_blocks_match(lines, freqs, intens, h):
+    """Block lines against a full solve: same count, frequencies to 1e-9 MHz,
+    intensity per frequency cluster to 1e-12 plus the eigenvectors'
+    conditioning, eps max|E| / (smallest level gap). Two valid double-precision
+    solves differ by that much: for CN0 at 165 G along c, a full solve of the
+    reversed basis moves intensities by 4.4e-12, and against a 30-digit solve
+    of the blocks the full and the block intensities err by up to 8e-12 and
+    9.5e-12."""
+    assert len(lines) == freqs.size
+    np.testing.assert_allclose(
+        np.sort(lines.frequencies), np.sort(freqs), rtol=0.0, atol=1e-9
+    )
+    levels = np.linalg.eigvalsh(h.matrix)
+    conditioning = np.finfo(float).eps * np.abs(levels).max() / np.diff(levels).min()
+    reference = LineList("full", lines.field, freqs, intens, np.ones(freqs.size))
+    _assert_same_distribution(lines, reference, tol=1e-9, atol=1e-12 + conditioning)
+
+
+def _first_shell(label, carbon13, nqi, field):
+    system = build_system(
+        find_defect(load_defect_dataset(), label), {"C": "13C"} if carbon13 else None
+    )
+    sub = system.subsystem(((0,) if carbon13 else ()) + shell_indices(system))
+    terms = ("ezi", "hfi", "nzi") + (("nqi",) if nqi else ())
+    return sub, build_hamiltonian(sub, np.array(field), terms=terms)
 
 
 _FIRST_SHELL_CASES = [
@@ -228,19 +292,123 @@ _FIRST_SHELL_CASES = [
 @pytest.mark.parametrize("field", [(0.0, 0.0, 42.0), (11.0, 23.0, 37.0), (0.0, 0.0, 0.0)],
                          ids=["c-axis", "tilted", "zero"])
 def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
-    system = build_system(
-        find_defect(load_defect_dataset(), label), {"C": "13C"} if carbon13 else None
-    )
-    sub = system.subsystem(((0,) if carbon13 else ()) + shell_indices(system))
-    terms = ("ezi", "hfi", "nzi") + (("nqi",) if nqi else ())
-    h = build_hamiltonian(sub, np.array(field), terms=terms)
+    sub, h = _first_shell(label, carbon13, nqi, field)
     lines = exact_transitions(h, sub, intensity_floor=0.0)
-    freqs, intens = _dense_moment_lines(h, 0.0)
-    assert np.array_equal(lines.frequencies, freqs)
-    np.testing.assert_allclose(lines.intensities, intens, rtol=0.0, atol=1e-12)
+    # Only CN0 along c splits with a non-degenerate spectrum. CB0's equivalent
+    # 14N give degenerate levels, and at zero field the levels are Kramers
+    # pairs, so both are solved in full.
+    blocks = label == "CN0" and field == (0.0, 0.0, 42.0)
+    assert (_block_pairs(h) is not None) == blocks
+    if blocks:
+        # A floor of 0 returns the n^2/4 pairs across the parity blocks and
+        # none of the pairs inside a block, whose S_x moment is zero.
+        freqs, intens = _dense_moment_lines(h, 0.0, parity_allowed=True)
+        assert freqs.size == h.dimension**2 // 4
+        _assert_blocks_match(lines, freqs, intens, h)
+    else:
+        freqs, intens = _dense_moment_lines(h, 0.0)
+        assert np.array_equal(lines.frequencies, freqs)
+        np.testing.assert_allclose(lines.intensities, intens, rtol=0.0, atol=1e-12)
     if any(field):
         pruned = exact_transitions(h, sub)
         assert len(pruned) == len(_dense_moment_lines(h, INTENSITY_FLOOR)[0])
+
+
+@pytest.mark.parametrize("carbon13, nqi", [(c, q) for c in (False, True) for q in (False, True)])
+@pytest.mark.parametrize("magnitude", [42.0, 155.0, 215.0, 300.0])
+def test_cn0_blocks_match_the_full_solve_along_c(carbon13, nqi, magnitude):
+    sub, h = _first_shell("CN0", carbon13, nqi, (0.0, 0.0, magnitude))
+    assert not _off_block(h).any()
+    assert _block_pairs(h) is not None
+    freqs, intens = _full_solve_lines(h)
+    _assert_blocks_match(exact_transitions(h, sub), freqs, intens, h)
+
+
+# CB0 along c (degenerate levels) and both defects at tilted fields.
+_FULL_SOLVE_CASES = [
+    case + (field,)
+    for case in _FIRST_SHELL_CASES
+    for field in [(11.0, 23.0, 37.0), (30.0, 0.0, 30.0), (0.0, 0.4, 300.0)]
+    + ([(0.0, 0.0, 150.0), (0.0, 0.0, -42.0)] if case[0] == "CB0" else [])
+]
+
+
+@pytest.mark.parametrize("label, carbon13, nqi, field", _FULL_SOLVE_CASES)
+def test_full_solve_paths_stay_byte_identical(label, carbon13, nqi, field):
+    sub, h = _first_shell(label, carbon13, nqi, field)
+    assert _block_pairs(h) is None
+    for floor in (INTENSITY_FLOOR, 0.0):
+        lines = exact_transitions(h, sub, intensity_floor=floor)
+        freqs, intens = _full_solve_lines(h, floor)
+        assert np.array_equal(lines.frequencies, freqs)
+        assert np.array_equal(lines.intensities, intens)
+
+
+def test_tilted_field_stops_the_split_test_at_row_zero(monkeypatch):
+    # Row 0's entries across the blocks hold the transverse Zeeman terms.
+    sub, h = _first_shell("CN0", True, True, (11.0, 23.0, 37.0))
+
+    def scan(*args):
+        raise AssertionError("O(n^2) block scan at a tilted field")
+
+    monkeypatch.setattr(np, "ix_", scan)
+    assert _block_pairs(h) is None
+    assert len(exact_transitions(h, sub)) > 0
+
+
+def test_any_entry_across_the_blocks_forces_the_full_solve():
+    sub, h = _first_shell("CN0", False, False, (0.0, 0.0, 42.0))
+    parity = _parity(h)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    for i, j in ((odd[-1], even[-1]), (even[-1], odd[-2])):   # not in row 0
+        matrix = h.matrix.copy()
+        matrix[i, j] = matrix[j, i] = 1e-300
+        mixed = HamiltonianMatrix(matrix, h.terms, h.dims, h.field)
+        assert _block_pairs(mixed) is None
+        lines = exact_transitions(mixed, sub)
+        freqs, intens = _full_solve_lines(mixed)
+        assert np.array_equal(lines.frequencies, freqs)
+        assert np.array_equal(lines.intensities, intens)
+
+
+_C_PRINCIPAL_SITE = st.tuples(
+    st.sampled_from(["11B", "10B", "14N", "15N", "13C"]),
+    st.tuples(*[st.floats(-40.0, 40.0)] * 3),
+    st.floats(0.0, 2.0 * np.pi),
+    st.integers(0, 2),                  # which principal axis lies along c
+    st.tuples(*[st.floats(-0.5, 0.5)] * 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(_C_PRINCIPAL_SITE, min_size=1, max_size=3),
+    magnitude=st.floats(5.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    terms=st.sampled_from([("ezi", "hfi"), ("ezi", "hfi", "nzi"), ("ezi", "hfi", "nzi", "nqi")]),
+)
+def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, sign, terms):
+    sites = []
+    for symbol, couplings, azimuth, roll, (v1, v2) in kinds:
+        iso = lookup(symbol)
+        # Columns are the principal axes; a cyclic roll keeps the frame proper.
+        frame = axial_frame(azimuth)[:, np.roll(np.arange(3), roll)]
+        efg = frame @ np.diag([v1, v2, -v1 - v2]) @ frame.T
+        sites.append((NuclearSite(iso.element, 1.0, 0.0, couplings, frame, efg=efg), iso))
+    system = SpinSystem("c-principal", tuple(sites))
+    assume(system.dimension <= 300)
+    h = build_hamiltonian(system, np.array([0.0, 0.0, sign * magnitude]), terms=terms)
+    assert not _off_block(h).any()
+    lines = exact_transitions(h, system)
+    freqs, intens = _full_solve_lines(h)
+    if _block_pairs(h) is None:
+        levels = np.linalg.eigvalsh(h.matrix)
+        gap = np.diff(levels).min()
+        assert gap <= 2.0 * _DEGENERACY_TOLERANCE * np.abs(levels).max()
+        assert np.array_equal(lines.frequencies, freqs)
+        assert np.array_equal(lines.intensities, intens)
+    else:
+        _assert_blocks_match(lines, freqs, intens, h)
 
 
 def test_exact_requires_matching_layout():
