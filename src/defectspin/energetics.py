@@ -193,15 +193,18 @@ def _charge(value) -> int:
     return int(value)
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def _record_from_json(raw: dict, where: str) -> EnergyRecord:
     try:
         return EnergyRecord(
             label=raw["label"],
             charge=_charge(raw["charge"]),
             energy=float(raw["energy_eV"]),
-            correction=(
-                None if raw.get("correction_eV") is None else float(raw["correction_eV"])
-            ),
+            # Missing: 0.0, as for a text row without the column; null: unavailable.
+            correction=_optional_float(raw.get("correction_eV", 0.0)),
             flag=raw.get("flag"),
         )
     except KeyError as exc:
@@ -216,7 +219,9 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
     Text rows are ``label charge energy_eV [correction_eV] [flag]`` with
     ``-`` marking an unavailable correction; ``#`` starts a comment. JSON
     files hold a list (or ``{"records": [...]}``) of objects with keys
-    ``label``, ``charge``, ``energy_eV``, ``correction_eV``, ``flag``.
+    ``label``, ``charge``, ``energy_eV``, ``correction_eV``, ``flag``, where
+    ``null`` marks an unavailable correction. Both forms read a missing
+    correction as 0.0.
     """
     if path is None:
         path = dataset_path("energies")
@@ -240,8 +245,8 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
             )
         # The JSON record of the row: no correction column is 0.0, "-" is None.
         raw = dict(zip(("label", "charge", "energy_eV", "correction_eV", "flag"), parts))
-        correction = raw.setdefault("correction_eV", 0.0)
-        raw["correction_eV"] = None if correction == "-" else correction
+        if raw.get("correction_eV") == "-":
+            raw["correction_eV"] = None
         records.append(_record_from_json(raw, f"{path}: line {lineno}"))
     return records
 

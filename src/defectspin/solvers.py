@@ -23,14 +23,25 @@ the exact and hybrid paths. The tables of all requested sites are
 evaluated at once, on one projection grid padded to the largest 2I+1.
 A site warns when ||A||_2 >= nu_e; for a symmetric tensor in an
 orthonormal frame ||A||_2 is max |principal value|.
+
+What no field changes is computed once and kept. A system's site arrays
+(spins, multiplicities, ||A||_2, the projection grid, each mode's crystal
+frame tensors and their squared Frobenius norms) are built by its first
+perturbative solve and kept, keyed by the system object, until the system is
+garbage-collected; a site subset takes rows of them. The class probabilities
+of a group structure, keyed by its (group size, projections) pairs, are kept
+for the 8 most recent structures of at most 2**14 classes. Every array a
+solver returns is fresh, so a caller may modify it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,14 +129,58 @@ def electron_axis(system: SpinSystem, field) -> tuple[float, np.ndarray]:
     return nu_e, heff / nu_e
 
 
-def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
+class _SiteArrays(NamedTuple):
+    """What no field changes, for every site of one system (read-only)."""
+
+    spins: np.ndarray          # I
+    dims: list[int]            # 2I + 1
+    norms: np.ndarray          # ||A||_2
+    m: np.ndarray              # I, I-1, ... padded to the largest 2I+1
+    m2: np.ndarray             # m^2
+    transverse: np.ndarray     # I(I+1) - m^2
+    by_mode: dict              # mode -> (crystal-frame A, ||A||_F^2)
+
+
+# Keyed by the system object: a system is frozen and its frames are
+# read-only, so an entry never goes stale, and it goes with its system.
+_SITE_ARRAYS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _site_arrays(system: SpinSystem) -> _SiteArrays:
+    """The ``_SiteArrays`` of ``system``, built on its first call."""
+    arrays = _SITE_ARRAYS.get(system)
+    if arrays is not None:
+        return arrays
+    spins = np.array([iso.spin for _, iso in system.sites])
+    dims = [iso.multiplicity for _, iso in system.sites]
+    pv = np.array([site.principal_values for site, _ in system.sites]).reshape(-1, 3)
+    frames = np.array([site.frame for site, _ in system.sites]).reshape(-1, 3, 3)
+    m = spins[:, None] - np.arange(max(dims, default=1))
+    m2 = m * m
+    norms = np.abs(pv).max(axis=1, initial=0.0)
+    transverse = (spins * (spins + 1.0))[:, None] - m2
+    by_mode = {
+        mode: (a, (a * a).sum(axis=(1, 2))) for mode, a in (
+            (MODE_ACONST, pv[:, :, None] * np.eye(3)),
+            (MODE_FULL, (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)),
+        )
+    }
+    for a in (spins, norms, m, m2, transverse, *(a for pair in by_mode.values() for a in pair)):
+        a.flags.writeable = False
+    arrays = _SiteArrays(spins, dims, norms, m, m2, transverse, by_mode)
+    _SITE_ARRAYS[system] = arrays
+    return arrays
+
+
+def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
     """Checked set-up shared by every perturbative solver.
 
     Validates ``order``, ``mode`` and the field (``ValueError`` unless every
     component is finite), raises ``ZeroFieldError`` at zero electron Zeeman
-    splitting, warns for each site in ``sites`` whose
+    splitting, warns for each site in ``sites`` (default: all) whose
     coupling is not small against nu_e, and returns nu_e (MHz) with the
     per-projection shift table of each site in ``sites``, m descending.
+    Only the field-dependent terms are computed here.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -139,43 +194,35 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites):
         raise ZeroFieldError(
             "zero electron Zeeman splitting; use exact_transitions instead"
         )
-    index = list(sites)
-    picked = [system.sites[k] for k in index]
-    spins = np.array([iso.spin for _, iso in picked])
-    dims = [iso.multiplicity for _, iso in picked]
-    pv = np.array([site.principal_values for site, _ in picked]).reshape(-1, 3)
-    norms = np.abs(pv).max(axis=1, initial=0.0)  # ||A||_2
+    spins, dims, norms, m, m2, transverse, by_mode = _site_arrays(system)
+    tensors, frob2 = by_mode[mode]
+    index = range(len(dims)) if sites is None else list(sites)
+    if sites is not None:                   # the subset's rows
+        rows, dims = np.array(index, dtype=np.intp), [dims[k] for k in index]
+        spins, norms, tensors, frob2 = spins[rows], norms[rows], tensors[rows], frob2[rows]
+        m, m2, transverse = m[rows], m2[rows], transverse[rows]
     for k in np.flatnonzero((spins > 0.0) & (norms >= nu_e)):
         warnings.warn(
             f"site {index[k]}: ||A|| = {norms[k]:.1f} MHz is not small against "
             f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
             stacklevel=3,
         )
-    if mode == MODE_ACONST:
-        tensors = pv[:, :, None] * np.eye(3)
-    else:
-        frames = np.array([site.frame for site, _ in picked]).reshape(-1, 3, 3)
-        tensors = (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)
     a_vec = axis @ tensors                                  # A^T n per site
     # K = |a| as a batched dot product, which rounds as np.linalg.norm does.
     coupling = np.sqrt((a_vec[:, None, :] @ a_vec[:, :, None]).ravel())
-    # Projections m = I, I-1, ... on a grid padded to the largest 2I+1.
-    m = spins[:, None] - np.arange(max(dims, default=1))
     shifts = coupling[:, None] * m
     if order >= 2:
-        frob2 = (tensors * tensors).sum(axis=(1, 2))
         aligned = coupling > 1e-12
         u = a_vec / np.where(aligned, coupling, 1.0)[:, None]
         au = tensors @ u[:, :, None]
         au2 = np.where(aligned, (au * au).sum(axis=(1, 2)), 0.0)
-        m2 = m * m
-        second = (au2 - coupling**2)[:, None] * m2 + (frob2 - au2)[:, None] * (
-            (spins * (spins + 1.0))[:, None] - m2
-        ) / 2.0
+        second = (au2 - coupling**2)[:, None] * m2 + (
+            (frob2 - au2)[:, None] * transverse / 2.0
+        )
         shifts = shifts + second / (2.0 * nu_e)
     tables = [
         row[:d] if spin > 0.0 else np.zeros(1)
-        for row, d, spin in zip(shifts, dims, spins)
+        for row, d, spin in zip(shifts, dims, spins.tolist())
     ]
     return nu_e, tables
 
@@ -213,6 +260,25 @@ def _group_classes(size: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, probs
 
 
+# The probability fold of a group structure is cached only up to this many
+# classes (8 folds of 2**14 floats hold at most 1 MB): large folds are rare,
+# cheap next to their line lists, and would keep a process's peak RSS up.
+_CLASS_CACHE_LIMIT = 1 << 14
+_CLASS_CACHE_SIZE = 8
+
+
+def _fold_probabilities(structure) -> np.ndarray:
+    """Class probabilities of independent groups, ``structure`` holding one
+    (group size, projections) pair per group: outer product, groups in order."""
+    probs = np.ones(1)
+    for size, bins in structure:
+        probs = np.multiply.outer(probs, _group_classes(size, bins)[1]).ravel()
+    return probs
+
+
+_cached_fold = lru_cache(maxsize=_CLASS_CACHE_SIZE)(_fold_probabilities)
+
+
 def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     """Distribution of the summed shift of independent, uniform sites.
 
@@ -220,29 +286,37 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     built from the mean of its tables so the first moment stays exact. A
     group of k sites with d projections gives one class per composition c
     of k into d bins: shift sum_j c_j t_j, probability k!/prod_j c_j! / d^k.
-    Groups combine by outer sum (shifts add, probabilities multiply).
-    Returns ``(shifts, probabilities)`` in no particular order.
+    Groups combine by outer sum (shifts add, probabilities multiply); the
+    probabilities depend only on the group structure, so they come from a
+    small cache (as a fresh copy). Returns ``(shifts, probabilities)`` in no
+    particular order.
     """
     groups: list[list[np.ndarray]] = []
+    heads: list[list[float]] = []
     for table in tables:
-        for members in groups:
-            head = members[0]
-            if head.shape == table.shape and (
-                np.abs(head - table).max() <= _SHIFT_TOLERANCE
+        values = table.tolist()
+        for head, members in zip(heads, groups):
+            # Python floats round as numpy's do; a NaN difference joins nothing.
+            if len(head) == len(values) and all(
+                abs(h - v) <= _SHIFT_TOLERANCE for h, v in zip(head, values)
             ):
                 members.append(table)
                 break
         else:
             groups.append([table])
-    shifts, probs = np.zeros(1), np.ones(1)
+            heads.append(values)
+    shifts, classes = np.zeros(1), 1
     for members in groups:
-        counts, p = _group_classes(len(members), members[0].size)
+        counts, _ = _group_classes(len(members), members[0].size)
         # sum / k is np.mean's arithmetic (same bits) without its wrapper.
         table = (members[0] if len(members) == 1
                  else np.array(members).sum(axis=0) / len(members))
         shifts = np.add.outer(shifts, counts @ table).ravel()
-        probs = np.multiply.outer(probs, p).ravel()
-    return shifts, probs
+        classes *= len(counts)
+    structure = tuple((len(members), members[0].size) for members in groups)
+    if classes <= _CLASS_CACHE_LIMIT:
+        return shifts, _cached_fold(structure).copy()
+    return shifts, _fold_probabilities(structure)
 
 
 def perturb_lines(
@@ -257,9 +331,7 @@ def perturb_lines(
     configurations, prod(2I_k + 1). ``mode`` selects the full crystal-frame
     tensors or the diagonal principal-value simplification.
     """
-    nu_e, tables = _shift_tables(
-        system, field, order, mode, range(len(system.sites))
-    )
+    nu_e, tables = _shift_tables(system, field, order, mode)
     shifts, probs = _shift_distribution(tables)
     return LineList(
         method=f"perturb{order}",
@@ -338,7 +410,12 @@ def exact_transitions(
     of 0 returns none of them. A tilted field is found to mix the blocks
     after O(n) work. A split spectrum with near-degenerate levels is solved
     in full instead, so the floor sees the same moments as before.
+
+    Raises ``ValueError`` when ``intensity_floor`` is not a number in
+    [0, 1] (NaN included) or ``system`` does not match ``h``'s layout.
     """
+    if not 0.0 <= intensity_floor <= 1.0:
+        raise ValueError(f"intensity_floor must be in [0, 1], got {intensity_floor!r}")
     dims = (2,) + system.site_dimensions()
     if dims != h.dims:
         raise ValueError("system does not match the Hamiltonian's factor layout")
@@ -458,9 +535,7 @@ def sample_configurations(
         lines = perturb_lines(system, field, order=order, mode=mode)
         lines.meta.update(sampled=False, seed=seed)
         return lines
-    nu_e, tables = _shift_tables(
-        system, field, order, mode, range(len(system.sites))
-    )
+    nu_e, tables = _shift_tables(system, field, order, mode)
     rng = np.random.default_rng(seed)
     freqs = np.full(sample_count, nu_e)
     for table in tables:

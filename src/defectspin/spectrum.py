@@ -89,23 +89,28 @@ def peak_stats(lines: LineList, window=DEFAULT_WINDOW) -> PeakStats:
     arrays themselves and the one mass sum is also the total; only a
     window that cuts lines off copies the lines inside it. (Masking the
     sums instead would change their summation order, and so their bits.)
+    The smallest and largest frequency tell which case holds, so the
+    membership mask is built only when the window cuts lines off.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     mass = lines.weights * lines.intensities
     f = lines.frequencies
-    inside = (f >= lo) & (f <= hi)
-    if inside.all():
+    if f.size == 0 or (lo <= f.min() and f.max() <= hi):
         m = mass
         m_sum = total = float(m.sum())
     else:
+        inside = (f >= lo) & (f <= hi)
         m, f = mass[inside], f[inside]
         total, m_sum = float(mass.sum()), float(m.sum())
     if m.size == 0 or m_sum <= 0.0:
         raise ValueError("no line with positive mass inside the analysis window")
     center = float((m * f).sum() / m_sum)
-    sigma = float(math.sqrt(max((m * (f - center) ** 2).sum() / m_sum, 0.0)))
+    d = f - center          # m * (f - center)**2, in place: the same bits
+    d *= d
+    d *= m
+    sigma = float(math.sqrt(max(d.sum() / m_sum, 0.0)))
     return PeakStats(
         center=center,
         sigma=sigma,

@@ -578,6 +578,33 @@ def test_ctl_text_row_without_correction_column(capsys, tmp_path):
     assert out.splitlines()[1:] == ["A,(+1|0),4.00,4.00,-"]
 
 
+# A missing correction is 0.0 and an unavailable one prints "unclear", in
+# a JSON record as in a text row.
+@pytest.mark.parametrize(
+    "row, correction, expected",
+    [
+        ("A 1 -14.0", {}, "A,(+1|0),4.00,4.00,-"),
+        ("A 1 -14.0 -", {"correction_eV": None}, "A,(+1|0),unclear,4.00,unclear"),
+        ("A 1 -14.0 0.25", {"correction_eV": 0.25}, "A,(+1|0),3.75,4.00,-"),
+    ],
+    ids=["missing", "unavailable", "given"],
+)
+def test_ctl_json_record_and_text_row_print_the_same(
+    capsys, tmp_path, row, correction, expected
+):
+    text, doc = tmp_path / "records.dat", tmp_path / "records.json"
+    text.write_text(f"A 0 -10.0\n{row}\n")
+    doc.write_text(json.dumps([
+        {"label": "A", "charge": 0, "energy_eV": -10.0},
+        {"label": "A", "charge": 1, "energy_eV": -14.0, **correction},
+    ]))
+    for path in (text, doc):
+        with pytest.warns(UserWarning, match="A: missing charge -1"):
+            code, out, err = _run(capsys, ["ctl", str(path), "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [expected]
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

@@ -227,6 +227,16 @@ def test_load_records_from_json_list(tmp_path):
     assert records[1].correction == pytest.approx(0.3)
 
 
+def test_json_correction_missing_is_zero_and_null_is_unavailable(tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps([
+        {"label": "A", "charge": 1, "energy_eV": -2.0},
+        {"label": "A", "charge": -1, "energy_eV": -2.0, "correction_eV": None},
+        {"label": "A", "charge": 0, "energy_eV": -1.0, "correction_eV": None},
+    ]))
+    assert [r.correction for r in load_energy_records(str(path))] == [0.0, None, 0.0]
+
+
 def test_load_records_from_text(tmp_path):
     path = tmp_path / "e.dat"
     path.write_text(
@@ -258,9 +268,13 @@ def test_text_row_without_correction_column_is_corrected_by_zero(tmp_path):
         ("A 1 -14.0", dict(label="A", charge=1, energy_eV=-14.0, correction_eV=0.0)),
         ("A 0 -10.0", dict(label="A", charge=0, energy_eV=-10.0)),
         ("B -1 -5.0 0.3", dict(label="B", charge=-1, energy_eV=-5.0, correction_eV=0.3)),
-        ("C +1 2 - odd", dict(label="C", charge=1, energy_eV=2, flag="odd")),
+        ("C +1 2 - odd",
+         dict(label="C", charge=1, energy_eV=2, correction_eV=None, flag="odd")),
         ("D 1 3 0.25 f extra",
          dict(label="D", charge=1, energy_eV=3, correction_eV=0.25, flag="f")),
+        # A charged record without the key is corrected by 0.0 in both forms.
+        ("E 1 -14.0", dict(label="E", charge=1, energy_eV=-14.0)),
+        ("F -1 -5.0 -", dict(label="F", charge=-1, energy_eV=-5.0, correction_eV=None)),
     ],
 )
 def test_text_row_equals_its_json_record(tmp_path, row, record):

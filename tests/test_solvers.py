@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import warnings
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
+from defectspin import solvers
 from defectspin.solvers import (
     INTENSITY_FLOOR,
     MODE_ACONST,
@@ -852,3 +855,189 @@ def test_group_mean_is_np_mean_bit_for_bit(head, size, data):
     expected = np.add.outer(np.zeros(1), counts @ np.mean(members, axis=0)).ravel()
     assert shifts.tobytes() == expected.tobytes()
     assert probs.tobytes() == np.multiply.outer(np.ones(1), p).ravel().tobytes()
+
+
+@pytest.mark.parametrize("floor", [np.nan, np.inf, 2.0, -1.0, 1.0 + 1e-12, -1e-300])
+def test_exact_rejects_an_intensity_floor_outside_the_unit_interval(floor):
+    system = SpinSystem("e", ())
+    h = build_hamiltonian(system, FIELD, terms=("ezi",))
+    with pytest.raises(ValueError, match=r"^intensity_floor must be in \[0, 1\], got "):
+        exact_transitions(h, system, intensity_floor=floor)
+
+
+# Floor 1 keeps only the strongest line; floor 0 keeps every pair across
+# the parity blocks of this c-axis system (4 x 4).
+@pytest.mark.parametrize("floor, count", [(0.0, 16), (1.0, 1)])
+def test_exact_accepts_the_unit_interval_ends(floor, count):
+    system = _single("11B", (1.4, -0.9, 6.1))
+    h = build_hamiltonian(system, FIELD)
+    lines = exact_transitions(h, system, intensity_floor=floor)
+    assert len(lines) == count
+    assert lines.intensities.max() == exact_transitions(h, system).intensities.max()
+
+
+def _uncached_shift_tables(system, field, order, mode, sites=None):
+    """``_shift_tables`` as it was before the site-array cache: every array
+    rebuilt from ``system.sites`` on each call."""
+    if order not in (1, 2):
+        raise ValueError("order must be 1 or 2")
+    if mode not in (MODE_FULL, MODE_ACONST):
+        raise ValueError(f"mode must be {MODE_FULL!r} or {MODE_ACONST!r}, not {mode!r}")
+    b = np.asarray(field, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError(f"field must be finite, got {b.tolist()}")
+    nu_e, axis = electron_axis(system, field)
+    if nu_e == 0.0:
+        raise ZeroFieldError("zero electron Zeeman splitting; use exact_transitions instead")
+    index = list(range(len(system.sites)) if sites is None else sites)
+    picked = [system.sites[k] for k in index]
+    spins = np.array([iso.spin for _, iso in picked])
+    dims = [iso.multiplicity for _, iso in picked]
+    pv = np.array([site.principal_values for site, _ in picked]).reshape(-1, 3)
+    if mode == MODE_ACONST:
+        tensors = pv[:, :, None] * np.eye(3)
+    else:
+        frames = np.array([site.frame for site, _ in picked]).reshape(-1, 3, 3)
+        tensors = (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)
+    a_vec = axis @ tensors
+    coupling = np.sqrt((a_vec[:, None, :] @ a_vec[:, :, None]).ravel())
+    m = spins[:, None] - np.arange(max(dims, default=1))
+    shifts = coupling[:, None] * m
+    if order >= 2:
+        frob2 = (tensors * tensors).sum(axis=(1, 2))
+        aligned = coupling > 1e-12
+        u = a_vec / np.where(aligned, coupling, 1.0)[:, None]
+        au = tensors @ u[:, :, None]
+        au2 = np.where(aligned, (au * au).sum(axis=(1, 2)), 0.0)
+        m2 = m * m
+        second = (au2 - coupling**2)[:, None] * m2 + (frob2 - au2)[:, None] * (
+            (spins * (spins + 1.0))[:, None] - m2
+        ) / 2.0
+        shifts = shifts + second / (2.0 * nu_e)
+    tables = [
+        row[:d] if spin > 0.0 else np.zeros(1) for row, d, spin in zip(shifts, dims, spins)
+    ]
+    return nu_e, tables
+
+
+def _uncached_shift_distribution(tables):
+    """``_shift_distribution`` as it was before the probability cache: numpy
+    grouping, and the probabilities folded on every call."""
+    groups = []
+    for table in tables:
+        for members in groups:
+            head = members[0]
+            if head.shape == table.shape and np.abs(head - table).max() <= 1e-9:
+                members.append(table)
+                break
+        else:
+            groups.append([table])
+    shifts, probs = np.zeros(1), np.ones(1)
+    for members in groups:
+        counts, p = _group_classes(len(members), members[0].size)
+        table = (members[0] if len(members) == 1
+                 else np.array(members).sum(axis=0) / len(members))
+        shifts = np.add.outer(shifts, counts @ table).ravel()
+        probs = np.multiply.outer(probs, p).ravel()
+    return shifts, probs
+
+
+def _line_bytes(lines):
+    return (lines.method, lines.frequencies.tobytes(), lines.intensities.tobytes(),
+            lines.weights.tobytes(), repr(sorted(lines.meta.items())))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kinds=st.lists(_SITE, min_size=1, max_size=4),
+    data=st.data(),
+    magnitude=st.floats(5.0, 300.0),
+    direction=st.one_of(_DIRECTION, _AXES),
+    order=st.sampled_from([1, 2]),
+    mode=st.sampled_from([MODE_FULL, MODE_ACONST]),
+)
+def test_cached_solvers_match_the_uncached_set_up_bitwise(
+    kinds, data, magnitude, direction, order, mode
+):
+    # Repeated kinds give groups of equal tables; the exact subset is kept
+    # small so the hybrid's Hamiltonian stays tiny.
+    picks = data.draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4))
+    sites = []
+    for k in picks:
+        symbol, couplings, quaternion = kinds[k]
+        iso = lookup(symbol)
+        sites.append((_site(iso.element, couplings, _rotation(quaternion)), iso))
+    system = SpinSystem("random", tuple(sites))
+    exact = data.draw(st.sets(st.integers(0, len(sites) - 1), max_size=2))
+    field = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    calls = {
+        "perturb": lambda: perturb_lines(system, field, order, mode),
+        "hybrid": lambda: hybrid_solve(system, exact, field, order=order, mode=mode),
+        "enumerated": lambda: sample_configurations(system, field, order, mode),
+        "sampled": lambda: sample_configurations(
+            system, field, order, mode, sample_count=50, enumeration_threshold=1),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
+        first = {name: _line_bytes(call()) for name, call in calls.items()}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_shift_tables", _uncached_shift_tables)
+            patch.setattr(solvers, "_shift_distribution", _uncached_shift_distribution)
+            expected = {name: _line_bytes(call()) for name, call in calls.items()}
+        again = {name: _line_bytes(call()) for name, call in calls.items()}
+    assert first == expected
+    assert again == expected
+
+
+def test_mutating_returned_weights_leaves_the_next_call_unchanged():
+    system = _load("CB0")
+    field = np.array([30.0, 40.0, 190.0])
+    lines = perturb_lines(system, field)
+    kept = _line_bytes(lines)
+    assert lines.weights.flags.writeable
+    lines.weights *= 3.0
+    lines.frequencies += 1.0
+    assert _line_bytes(perturb_lines(system, field)) == kept
+    shifts, probs = _shift_distribution([np.array([1.0, -1.0])] * 3)
+    probs[:] = 0.0
+    assert _shift_distribution([np.array([1.0, -1.0])] * 3)[1].tolist() == [
+        0.125, 0.375, 0.375, 0.125
+    ]
+
+
+def test_site_arrays_are_freed_with_their_system():
+    system = SpinSystem("t", ((_site("B", (1.4, -0.9, 6.1)), lookup("11B")),))
+    perturb_lines(system, FIELD)
+    arrays = solvers._SITE_ARRAYS[system]
+    spins, tensors = weakref.ref(arrays.spins), weakref.ref(arrays.by_mode[MODE_FULL][0])
+    del arrays, system
+    gc.collect()
+    assert spins() is None and tensors() is None
+
+
+def test_site_arrays_are_read_only():
+    system = _load("CN0")
+    perturb_lines(system, FIELD)
+    arrays = solvers._SITE_ARRAYS[system]
+    frozen = [arrays.spins, arrays.norms, arrays.m, arrays.m2, arrays.transverse]
+    frozen += [a for mode in (MODE_FULL, MODE_ACONST) for a in arrays.by_mode[mode]]
+    assert not any(a.flags.writeable for a in frozen)
+
+
+def test_probability_folds_above_the_cap_are_not_cached():
+    # 15 distinct two-projection groups: 2**15 classes, above the 2**14 cap.
+    big = [np.array([k + 1.0, -(k + 1.0)]) for k in range(15)]
+    small = big[:3]
+    before = solvers._cached_fold.cache_info()
+    shifts, probs = _shift_distribution(big)
+    after = solvers._cached_fold.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (
+        before.hits, before.misses, before.currsize
+    )
+    assert probs.tobytes() == _uncached_shift_distribution(big)[1].tobytes()
+    assert probs.size == 2**15
+    _shift_distribution(small)
+    _shift_distribution(small)
+    final = solvers._cached_fold.cache_info()
+    assert final.hits >= after.hits + 1
+    assert final.currsize <= final.maxsize

@@ -398,7 +398,11 @@ def test_peak_stats_matches_copying_reference_bit_for_bit(freqs, data):
     mid = data.draw(st.floats(lo, hi))
     window = data.draw(st.sampled_from([
         (-math.inf, math.inf), (lo, hi), (lo, math.inf),   # every line inside
+        (-math.inf, hi),
         (mid, math.inf), (-math.inf, mid), (mid, hi),      # some lines
+        (lo, mid),
+        (hi, math.inf), (-math.inf, lo),                   # the lines at one end
+        (hi, hi + 1.0), (lo - 1.0, lo),
         (hi + 1.0, math.inf), (-math.inf, lo - 1.0),       # none
     ]))
     try:
@@ -411,6 +415,17 @@ def test_peak_stats_matches_copying_reference_bit_for_bit(freqs, data):
     assert stats.window == (float(window[0]), float(window[1]))
     assert _bits([stats.center, stats.sigma, stats.fwhm_gauss,
                   stats.included_weight_fraction]) == _bits(expected)
+
+
+@pytest.mark.parametrize("window", [
+    DEFAULT_WINDOW, (-math.inf, math.inf), (0.0, 1.0), (-math.inf, 0.0),
+])
+def test_peak_stats_of_an_empty_line_list_matches_the_reference(window):
+    lines = _lines([], weights=[], intensities=[])
+    with pytest.raises(ValueError) as expected:
+        _copying_peak_stats(lines, window)
+    with pytest.raises(ValueError, match=f"^{expected.value}$"):
+        peak_stats(lines, window)
 
 
 def _format_writer(path, meta, extra_meta, columns, *arrays):
