@@ -13,22 +13,39 @@ order, each factor ordered by descending magnetic quantum number. Each
 term acts on one or two factors and is added in place into the diagonal,
 over the remaining identity factors, of H viewed as its factor tensor; the
 identity factors are never built, so assembly costs O(n^2) per term.
+
+What no field changes is built once and kept. A site's hyperfine blocks
+(S_i (x) sum_j A_ij I_j for i = x, y, z, as (2, d, 2, d) arrays) and its
+quadrupole block (Q from ``efg_to_quadrupole``, with its checks) are built
+by the first assembly that needs them and kept read-only, keyed by the site
+object and its isotope, until the site is garbage-collected. Sites come from
+the cached dataset parse, so every system and subsystem built from one
+dataset shares them. The view shape and einsum subscripts of each (factor
+layout, acted-on factors) pair are kept too. The electron and nuclear Zeeman
+terms depend on the field and are built on every call. Errors are never
+cached: a missing EFG tensor raises on every call.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .isotopes import ELECTRON_ZEEMAN_MHZ_PER_G, Isotope
-from .system import SpinSystem
+from .system import NuclearSite, SpinSystem
 
 ALL_TERMS = frozenset({"ezi", "hfi", "nzi", "nqi"})
 DEFAULT_TERMS = ("ezi", "hfi", "nzi")
 DIMENSION_CAP = 4096
+
+
+# Largest real or imaginary part for which HamiltonianMatrix skips the abs
+# sweeps: sqrt(2) * 2**1022 is below the largest double, so |m_ij| is finite.
+_PART_LIMIT = 2.0**1022
 
 
 class DimensionError(ValueError):
@@ -105,16 +122,40 @@ class HamiltonianMatrix:
     field: np.ndarray
 
     def __post_init__(self):
-        largest = float(np.abs(self.matrix).max())
+        m = self.matrix
+        # As assembled: exactly Hermitian with every part within +-2**1022,
+        # so no |m_ij| overflows and the residual below is exactly 0; the
+        # check then passes without its two complex abs sweeps. NaN fails
+        # every comparison, so it takes the full check.
+        if m.dtype == complex and m.flags.c_contiguous:
+            parts = m.view(float)
+            if (-_PART_LIMIT <= parts.min() and parts.max() <= _PART_LIMIT
+                    and (m == m.conj().T).all()):
+                return
+        largest = float(np.abs(m).max())
         if not math.isfinite(largest):          # NaN compares false below
             raise ValueError("Hamiltonian must be finite")
         scale = max(largest, 1e-30)
-        if np.abs(self.matrix - self.matrix.conj().T).max() > 1e-9 * scale:
+        if np.abs(m - m.conj().T).max() > 1e-9 * scale:
             raise ValueError("Hamiltonian must be Hermitian")
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+
+@lru_cache(maxsize=256)
+def _view_recipe(dims: tuple[int, ...], slots: tuple[int, ...]) -> tuple[tuple[int, ...], str]:
+    """Reshape sizes and einsum subscripts of ``_add_local``'s view."""
+    sizes, start = [], 0
+    for s in slots:
+        sizes += [math.prod(dims[start:s]), dims[s]]
+        start = s + 1
+    sizes.append(math.prod(dims[start:]))
+    rows = "abcde"[: len(sizes)]
+    # Identity runs (even positions) reuse their row letter: a diagonal.
+    cols = "".join(r if g % 2 == 0 else r.upper() for g, r in enumerate(rows))
+    return tuple(sizes * 2), f"{rows}{cols}->{rows[::2]}{rows[1::2]}{cols[1::2]}"
 
 
 def _add_local(h: np.ndarray, dims: tuple[int, ...], slots: tuple[int, ...], op) -> None:
@@ -126,17 +167,50 @@ def _add_local(h: np.ndarray, dims: tuple[int, ...], slots: tuple[int, ...], op)
     einsum diagonal over the runs is a writable view of ``h``, and ``op``
     broadcasts over it.
     """
-    sizes, start = [], 0
-    for s in slots:
-        sizes += [math.prod(dims[start:s]), dims[s]]
-        start = s + 1
-    sizes.append(math.prod(dims[start:]))
-    rows = "abcde"[: len(sizes)]
-    # Identity runs (even positions) reuse their row letter: a diagonal.
-    cols = "".join(r if g % 2 == 0 else r.upper() for g, r in enumerate(rows))
-    subscripts = f"{rows}{cols}->{rows[::2]}{rows[1::2]}{cols[1::2]}"
-    view = np.einsum(subscripts, h.reshape(sizes * 2))
+    shape, subscripts = _view_recipe(dims, slots)
+    view = np.einsum(subscripts, h.reshape(shape))
     view += op
+
+
+def _hyperfine_blocks(site: NuclearSite, iso: Isotope) -> np.ndarray:
+    """S_i (x) sum_j A_ij I_j for i = x, y, z, each as (2, d, 2, d): row
+    axes, then column axes."""
+    electron, ops = spin_operators(0.5), spin_operators(iso.spin)
+    a_tensor = site.hyperfine_tensor()
+    blocks = []
+    for i in range(3):
+        row = sum(a_tensor[i, j] * ops.component(j) for j in range(3))
+        blocks.append(electron.component(i)[:, None, :, None] * row[None, :, None, :])
+    return np.stack(blocks)
+
+
+def _quadrupole_block(site: NuclearSite, iso: Isotope) -> np.ndarray:
+    """I^T Q I for the site's EFG tensor, which must be present."""
+    ops = spin_operators(iso.spin)
+    q = efg_to_quadrupole(site.efg, iso)
+    local = np.zeros((ops.dimension, ops.dimension), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            if q[i, j] != 0.0:
+                local += q[i, j] * (ops.component(i) @ ops.component(j))
+    return local
+
+
+# site -> {(isotope, builder): block}. Keyed by the site object: a site is
+# frozen and its frame and EFG are read-only, so an entry never goes stale,
+# and it goes with its site. One site can carry several isotopes.
+_SITE_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _site_block(site: NuclearSite, iso: Isotope, builder) -> np.ndarray:
+    """``builder(site, iso)``, built on the first call and kept read-only."""
+    blocks = _SITE_BLOCKS.setdefault(site, {})
+    block = blocks.get((iso, builder))
+    if block is None:
+        block = builder(site, iso)
+        block.flags.writeable = False
+        blocks[iso, builder] = block
+    return block
 
 
 def normalize_terms(terms) -> frozenset:
@@ -185,15 +259,11 @@ def build_hamiltonian(
         slot = k + 1
         if iso.spin == 0.0:
             continue
-        ops = spin_operators(iso.spin)
         if "hfi" in mask:
-            a_tensor = site.hyperfine_tensor()
-            for i in range(3):
-                row = sum(a_tensor[i, j] * ops.component(j) for j in range(3))
-                # S_i (x) row as (2, d, 2, d): row axes, then column axes.
-                op = electron.component(i)[:, None, :, None] * row[None, :, None, :]
+            for op in _site_block(site, iso, _hyperfine_blocks):
                 _add_local(h, dims, (0, slot), op)
         if "nzi" in mask:
+            ops = spin_operators(iso.spin)
             # gamma/2pi in Hz/G times Gauss gives Hz; scale to MHz.
             coeff = -iso.gamma_over_2pi * 1e-6
             local = coeff * sum(b[j] * ops.component(j) for j in range(3))
@@ -204,12 +274,6 @@ def build_hamiltonian(
                     f"site {k} ({site.element}, {site.group_id}): "
                     "NQI requested but no EFG tensor present"
                 )
-            q = efg_to_quadrupole(site.efg, iso)
-            local = np.zeros((ops.dimension, ops.dimension), dtype=complex)
-            for i in range(3):
-                for j in range(3):
-                    if q[i, j] != 0.0:
-                        local += q[i, j] * (ops.component(i) @ ops.component(j))
-            _add_local(h, dims, (slot,), local)
+            _add_local(h, dims, (slot,), _site_block(site, iso, _quadrupole_block))
 
     return HamiltonianMatrix(matrix=h, terms=mask, dims=dims, field=b)

@@ -347,20 +347,60 @@ def perturb_lines(
     )
 
 
-def _full_pairs(h: HamiltonianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies and S_x moments of every upward pair, from one ``eigh``."""
+def _kept_pairs(moments: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, row by row, of the entries of the 2-D
+    ``moments`` that are at least ``floor`` times the largest."""
+    kept = np.flatnonzero(moments >= floor * moments.max())
+    return np.divmod(kept, moments.shape[1])
+
+
+def _full_pairs(h: HamiltonianMatrix, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies and S_x moments of the upward pairs that pass ``floor``,
+    from one ``eigh``.
+
+    The moments are formed whole, as P[i, f] = |(conj(X[i, f]) + X[f, i])/2|^2:
+    the strict upper triangle (i < f, E_i <= E_f) holds every pair once, and
+    P is symmetric bit for bit, so with its diagonal zeroed its largest entry
+    is the largest pair's. Frequencies are taken only for the pairs kept.
+    """
     energies, states = np.linalg.eigh(h.matrix)
     half = h.dimension // 2
     x = states[:half].conj().T @ states[half:]
-    del states                      # n x n arrays go as soon as used: peak RSS
-    ii, fi = np.triu_indices(len(energies), k=1)   # E_f >= E_i pairs, f > i
-    return energies[fi] - energies[ii], np.abs(0.5 * (x[fi, ii] + x[ii, fi].conj())) ** 2
+    # No n x n array of their own (peak RSS, and fresh pages cost a fault
+    # each): the pair amplitudes overwrite the eigenvectors, the moments the
+    # real parts of X.
+    m = np.conjugate(x, out=states)
+    m += x.T
+    m *= 0.5
+    moments = np.abs(m, out=x.real)
+    del m, states
+    np.square(moments, out=moments)
+    np.fill_diagonal(moments, 0.0)
+    ii, fi = _kept_pairs(moments, floor)
+    upward = ii < fi
+    ii, fi = ii[upward], fi[upward]
+    return energies[fi] - energies[ii], moments[ii, fi]
 
 
-def _block_pairs(h: HamiltonianMatrix):
-    """Frequencies and S_x moments of every parity-allowed pair, from two
-    half-size ``eigh``s, or ``None`` when H does not split or its spectrum
-    has a gap within ``_DEGENERACY_TOLERANCE`` of max |E|.
+@lru_cache(maxsize=32)
+def _parity_split(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the even and the odd parity block, listed by nuclear index
+    so that electron-flip partners align (see ``_block_pairs``)."""
+    half = math.prod(dims) // 2
+    q = np.zeros(1, dtype=np.intp)
+    for d in dims[1:]:
+        q = (q[:, None] + np.arange(d)).ravel()
+    even = (q & 1) * half + np.arange(half)
+    odd = (even + half) % (2 * half)
+    even.flags.writeable = odd.flags.writeable = False
+    return even, odd
+
+
+def _block_pairs(h: HamiltonianMatrix, floor: float):
+    """Frequencies and S_x moments of the parity-allowed pairs that pass
+    ``floor``, from two half-size ``eigh``s, or ``None`` when H does not
+    split or its spectrum has a gap within ``_DEGENERACY_TOLERANCE`` of
+    max |E|.
 
     A basis state's parity is its sum of factor indices mod 2. Nuclear index
     r gives one even state, (q(r), r), and its electron-flipped partner,
@@ -368,12 +408,7 @@ def _block_pairs(h: HamiltonianMatrix):
     blocks by r aligns every partner pair, so <odd f|S_x|even i> =
     (U_odd^H U_even)[f, i] / 2 and pairs within a block have no moment.
     """
-    n, half = h.dimension, h.dimension // 2
-    q = np.zeros(1, dtype=np.intp)
-    for d in h.dims[1:]:
-        q = (q[:, None] + np.arange(d)).ravel()
-    even = (q & 1) * half + np.arange(half)
-    odd = (even + half) % n
+    even, odd = _parity_split(h.dims)
     # Row 0 holds the transverse Zeeman terms: a tilted field stops here, O(n).
     if (h.matrix[0, odd].any() or h.matrix[np.ix_(even, odd)].any()
             or h.matrix[np.ix_(odd, even)].any()):
@@ -383,8 +418,9 @@ def _block_pairs(h: HamiltonianMatrix):
     merged = np.sort(np.concatenate((e_even, e_odd)))
     if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
         return None
-    freqs = np.abs(e_odd[:, None] - e_even).ravel()
-    return freqs, (np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2).ravel()
+    moments = np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2
+    fi, ii = _kept_pairs(moments, floor)
+    return np.abs(e_odd[fi] - e_even[ii]), moments[fi, ii]
 
 
 def exact_transitions(
@@ -419,11 +455,11 @@ def exact_transitions(
     dims = (2,) + system.site_dimensions()
     if dims != h.dims:
         raise ValueError("system does not match the Hamiltonian's factor layout")
-    freqs, intens = _block_pairs(h) or _full_pairs(h)
-    if intens.size:
-        keep = intens >= intensity_floor * intens.max()
-        freqs, intens = freqs[keep], intens[keep]
-    order = np.lexsort((intens, freqs))
+    freqs, intens = _block_pairs(h, intensity_floor) or _full_pairs(h, intensity_floor)
+    # Complex keys sort by frequency, then intensity; tied pairs are equal.
+    key = np.empty(freqs.size, dtype=complex)
+    key.real, key.imag = freqs, intens
+    order = np.argsort(key)
     return LineList(
         method="exact",
         field=h.field,
@@ -435,13 +471,7 @@ def exact_transitions(
 
 
 def _normalize_selection(system: SpinSystem, indices) -> tuple[int, ...]:
-    picked = [int(i) for i in indices]
-    if len(picked) != len(set(picked)):
-        raise ValueError("exact-site selection contains duplicates")
-    for i in picked:
-        if not 0 <= i < len(system.sites):
-            raise ValueError(f"site index {i} out of range")
-    return tuple(sorted(picked))
+    return tuple(sorted(system._checked_indices(int(i) for i in indices)))
 
 
 def shell_indices(system: SpinSystem, max_distance: float = 1.0) -> tuple[int, ...]:

@@ -163,8 +163,26 @@ class SpinSystem:
         return tuple(iso.multiplicity for _, iso in self.sites)
 
     def subsystem(self, indices, label_suffix: str = "") -> "SpinSystem":
-        picked = tuple(self.sites[i] for i in indices)
-        return SpinSystem(self.label + label_suffix, picked, self.g_tensor)
+        """The electron with the sites at ``indices``, in that order.
+
+        Raises ``ValueError`` naming the first index that is negative, past
+        the last site or given twice.
+        """
+        # The g tensor, checked and read-only, is shared rather than checked again.
+        sub = copy.copy(self)
+        object.__setattr__(sub, "label", self.label + label_suffix)
+        object.__setattr__(sub, "sites", tuple(self.sites[i] for i in self._checked_indices(indices)))
+        return sub
+
+    def _checked_indices(self, indices) -> tuple[int, ...]:
+        """``indices`` in order, each a distinct index of ``sites``."""
+        picked = tuple(indices)
+        for k, i in enumerate(picked):
+            if not 0 <= i < len(self.sites):
+                raise ValueError(f"site index {i} out of range for {len(self.sites)} sites")
+            if i in picked[:k]:
+                raise ValueError(f"site index {i} is a duplicate")
+        return picked
 
     def to_dict(self) -> dict:
         return {

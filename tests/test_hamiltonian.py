@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import math
+import weakref
 from functools import reduce
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectspin import hamiltonian
 from defectspin.hamiltonian import (
     DimensionError,
     HamiltonianMatrix,
@@ -179,6 +183,80 @@ def test_non_finite_matrix_rejected(bad):
         HamiltonianMatrix(matrix, frozenset({"ezi"}), (2,), FIELD)
 
 
+def _reference_check(matrix):
+    """The finite and Hermitian check with both complex abs sweeps: the
+    error it raises, or None."""
+    largest = float(np.abs(matrix).max())
+    if not math.isfinite(largest):
+        return "finite"
+    if np.abs(matrix - matrix.conj().T).max() > 1e-9 * max(largest, 1e-30):
+        return "Hermitian"
+    return None
+
+
+def _check_outcome(matrix):
+    try:
+        HamiltonianMatrix(matrix, frozenset({"ezi"}), (2,), FIELD)
+    except ValueError as exc:
+        return "finite" if "finite" in str(exc) else "Hermitian"
+    return None
+
+
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1e-300, 1e-9, np.nan, np.inf, -np.inf,
+                     2.0**1022, -(2.0**1022), 1.3e308, -1.7e308]),
+    st.floats(-1e3, 1e3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.integers(1, 3),
+    upper=st.lists(st.tuples(_PARTS, _PARTS), min_size=9, max_size=9),
+    lower=st.lists(st.tuples(_PARTS, _PARTS), min_size=9, max_size=9),
+    hermitian=st.booleans(),
+    layout=st.sampled_from(["C", "F", "strided"]),
+)
+def test_hermitian_check_decides_as_the_abs_sweeps_do(size, upper, lower, hermitian, layout):
+    # Exactly Hermitian inputs take the fast path; values at and past the
+    # 2**1022 limit, NaN, infinities and other layouts must not change the
+    # decision.
+    m = np.array([complex(*z) for z in upper[: size * size]]).reshape(size, size)
+    if hermitian:
+        m = np.where(np.tri(size, k=-1, dtype=bool), m.T.conj(), m)
+        m[np.diag_indices(size)] = m.diagonal().real
+    else:
+        m[np.tri(size, k=-1, dtype=bool)] = [complex(*z) for z in lower[: size * (size - 1) // 2]]
+    if layout == "F":
+        m = np.asfortranarray(m)
+    elif layout == "strided":
+        m = np.repeat(m, 2, axis=1)[:, ::2]
+    with np.errstate(all="ignore"):
+        expected = _reference_check(m)
+        assert _check_outcome(m) == expected
+
+
+@pytest.mark.parametrize("skew, expected", [(1e-12, None), (2e-9, None), (4e-9, "Hermitian"),
+                                            (1e-6, "Hermitian")])
+def test_hermitian_check_near_hermitian(skew, expected):
+    # Not exactly Hermitian: the residual decides against 1e-9 of max |m_ij| = 3.
+    matrix = np.array([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, -3.0]])
+    matrix[0, 1] += skew * 1j
+    assert _reference_check(matrix) == expected
+    assert _check_outcome(matrix) == expected
+    assert _check_outcome(np.asfortranarray(matrix.conj())) == expected
+
+
+@pytest.mark.parametrize("part, expected", [(2.0**1022, None), (1.3e308, "finite")])
+def test_hermitian_check_at_the_overflow_edge(part, expected):
+    # |1.3e308 (1 + i)| overflows, so the sweeps reject the matrix as not
+    # finite although every part is finite.
+    matrix = np.array([[part, complex(part, part)], [complex(part, -part), -part]])
+    with np.errstate(over="ignore"):
+        assert _reference_check(matrix) == expected
+        assert _check_outcome(matrix) == expected
+
+
 @pytest.mark.parametrize("field", [(0.0, 0.0, np.nan), (np.inf, 0.0, 42.0), (0.0, -np.inf, 1.0)])
 def test_non_finite_field_rejected(field):
     system = SpinSystem("t", ((_site("B", (1.0, 1.0, 2.0)), lookup("11B")),))
@@ -267,3 +345,62 @@ def test_assembly_is_bit_identical_to_kron_reference(label, carbon13, sites, ter
     b = np.array(field)
     h = build_hamiltonian(system, b, terms=terms)
     assert np.array_equal(h.matrix, _kron_reference(system, b, terms))
+
+
+# One site object under each of its element's isotopes: build_system with an
+# override reuses the dataset's site objects, so the per-site blocks must be
+# told apart by isotope (11B and 10B have different dimensions).
+_OVERRIDES = [
+    ("CN0", None), ("CN0", {"C": "13C"}), ("CN0", {"B": "10B"}),
+    ("CB0", None), ("CB0", {"C": "13C"}), ("CB0", {"N": "15N"}),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_site_blocks_under_each_isotope_match_the_kron_reference(order):
+    records = load_defect_dataset()
+    field = np.array([13.0, -29.0, 151.0])
+    for label, overrides in _OVERRIDES[::order] * 2:
+        record = find_defect(records, label)
+        system = build_system(record, overrides).subsystem((0, 1, 2, 3))
+        assert all(site is record.sites[k] for k, (site, _) in enumerate(system.sites))
+        for terms in (("ezi", "hfi", "nzi"), ("ezi", "hfi", "nzi", "nqi")):
+            h = build_hamiltonian(system, field, terms=terms)
+            assert np.array_equal(h.matrix, _kron_reference(system, field, terms))
+
+
+def test_site_blocks_are_freed_with_their_site():
+    site = _site("N", (-9.0, -5.1, -9.0), efg=np.diag([-15.0, -15.0, 30.0]))
+    system = SpinSystem("t", ((site, lookup("14N")),))
+    build_hamiltonian(system, FIELD, terms=("hfi", "nqi"))
+    blocks = [weakref.ref(b) for b in hamiltonian._SITE_BLOCKS[site].values()]
+    assert len(blocks) == 2
+    del system, site
+    gc.collect()
+    assert all(ref() is None for ref in blocks)
+
+
+def test_site_blocks_are_read_only():
+    cn = build_system(find_defect(load_defect_dataset(), "CN0"), {"C": "13C"})
+    build_hamiltonian(cn.subsystem((0, 1, 2, 3)), FIELD, terms=("hfi", "nqi"))
+    builders = (hamiltonian._hyperfine_blocks, hamiltonian._quadrupole_block)
+    blocks = [
+        hamiltonian._SITE_BLOCKS[site][iso, builder]
+        for site, iso in cn.sites[:4] for builder in builders[: 1 + (iso.spin >= 1.0)]
+    ]
+    assert len(blocks) == 7            # hfi for 13C and three 11B, nqi for the 11B
+    assert not any(b.flags.writeable for b in blocks)
+
+
+def test_site_block_errors_are_raised_on_every_call():
+    bare = _site("N", (1.0, 1.0, 1.0))
+    system = SpinSystem("t", ((bare, lookup("14N")),))
+    build_hamiltonian(system, FIELD, terms=("hfi",))     # the site has blocks now
+    for _ in range(2):
+        with pytest.raises(ValueError, match="site 0 .*no EFG tensor"):
+            build_hamiltonian(system, FIELD, terms=("hfi", "nqi"))
+    carbon = _site("C", (1.0, 1.0, 1.0), efg=np.diag([-1.0, -1.0, 2.0]))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non-quadrupolar"):
+            hamiltonian._site_block(carbon, lookup("13C"), hamiltonian._quadrupole_block)
+    assert carbon not in hamiltonian._SITE_BLOCKS or not hamiltonian._SITE_BLOCKS[carbon]

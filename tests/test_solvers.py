@@ -274,11 +274,11 @@ def _assert_blocks_match(lines, freqs, intens, h):
     _assert_same_distribution(lines, reference, tol=1e-9, atol=1e-12 + conditioning)
 
 
-def _first_shell(label, carbon13, nqi, field):
+def _first_shell(label, carbon13, nqi, field, second_shell=()):
     system = build_system(
         find_defect(load_defect_dataset(), label), {"C": "13C"} if carbon13 else None
     )
-    sub = system.subsystem(((0,) if carbon13 else ()) + shell_indices(system))
+    sub = system.subsystem(((0,) if carbon13 else ()) + shell_indices(system) + second_shell)
     terms = ("ezi", "hfi", "nzi") + (("nqi",) if nqi else ())
     return sub, build_hamiltonian(sub, np.array(field), terms=terms)
 
@@ -301,7 +301,7 @@ def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
     # 14N give degenerate levels, and at zero field the levels are Kramers
     # pairs, so both are solved in full.
     blocks = label == "CN0" and field == (0.0, 0.0, 42.0)
-    assert (_block_pairs(h) is not None) == blocks
+    assert (_block_pairs(h, INTENSITY_FLOOR) is not None) == blocks
     if blocks:
         # A floor of 0 returns the n^2/4 pairs across the parity blocks and
         # none of the pairs inside a block, whose S_x moment is zero.
@@ -322,7 +322,7 @@ def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
 def test_cn0_blocks_match_the_full_solve_along_c(carbon13, nqi, magnitude):
     sub, h = _first_shell("CN0", carbon13, nqi, (0.0, 0.0, magnitude))
     assert not _off_block(h).any()
-    assert _block_pairs(h) is not None
+    assert _block_pairs(h, INTENSITY_FLOOR) is not None
     freqs, intens = _full_solve_lines(h)
     _assert_blocks_match(exact_transitions(h, sub), freqs, intens, h)
 
@@ -338,9 +338,25 @@ _FULL_SOLVE_CASES = [
 
 @pytest.mark.parametrize("label, carbon13, nqi, field", _FULL_SOLVE_CASES)
 def test_full_solve_paths_stay_byte_identical(label, carbon13, nqi, field):
-    sub, h = _first_shell(label, carbon13, nqi, field)
-    assert _block_pairs(h) is None
-    for floor in (INTENSITY_FLOOR, 0.0):
+    _assert_full_solve_bytes(*_first_shell(label, carbon13, nqi, field))
+
+
+# CB0 with one second-shell 11B (n = 216), CN0 with 13C (n = 256) and CB0 with
+# 13C and one second-shell 11B (n = 432), at tilted fields.
+@pytest.mark.parametrize("label, carbon13, second_shell, dimension",
+                         [("CB0", False, (4,), 216), ("CN0", True, (), 256), ("CB0", True, (4,), 432)])
+@pytest.mark.parametrize("field", [(11.0, 23.0, 37.0), (-80.0, 140.0, 210.0)])
+def test_full_solve_paths_stay_byte_identical_on_larger_subsystems(
+    label, carbon13, second_shell, dimension, field
+):
+    sub, h = _first_shell(label, carbon13, False, field, second_shell)
+    assert h.dimension == dimension
+    _assert_full_solve_bytes(sub, h)
+
+
+def _assert_full_solve_bytes(sub, h):
+    assert _block_pairs(h, INTENSITY_FLOOR) is None
+    for floor in (INTENSITY_FLOOR, 0.0, 1.0):
         lines = exact_transitions(h, sub, intensity_floor=floor)
         freqs, intens = _full_solve_lines(h, floor)
         assert np.array_equal(lines.frequencies, freqs)
@@ -355,7 +371,7 @@ def test_tilted_field_stops_the_split_test_at_row_zero(monkeypatch):
         raise AssertionError("O(n^2) block scan at a tilted field")
 
     monkeypatch.setattr(np, "ix_", scan)
-    assert _block_pairs(h) is None
+    assert _block_pairs(h, INTENSITY_FLOOR) is None
     assert len(exact_transitions(h, sub)) > 0
 
 
@@ -367,7 +383,7 @@ def test_any_entry_across_the_blocks_forces_the_full_solve():
         matrix = h.matrix.copy()
         matrix[i, j] = matrix[j, i] = 1e-300
         mixed = HamiltonianMatrix(matrix, h.terms, h.dims, h.field)
-        assert _block_pairs(mixed) is None
+        assert _block_pairs(mixed, INTENSITY_FLOOR) is None
         lines = exact_transitions(mixed, sub)
         freqs, intens = _full_solve_lines(mixed)
         assert np.array_equal(lines.frequencies, freqs)
@@ -404,7 +420,7 @@ def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, s
     assert not _off_block(h).any()
     lines = exact_transitions(h, system)
     freqs, intens = _full_solve_lines(h)
-    if _block_pairs(h) is None:
+    if _block_pairs(h, INTENSITY_FLOOR) is None:
         levels = np.linalg.eigvalsh(h.matrix)
         gap = np.diff(levels).min()
         assert gap <= 2.0 * _DEGENERACY_TOLERANCE * np.abs(levels).max()

@@ -265,6 +265,23 @@ def test_subsystem_selects_sites():
     assert sub.dimension == 2 * 64
 
 
+@pytest.mark.parametrize("indices, index", [([-1], -1), ([1, 1], 1), ([99], 99), ((0, 10), 10)],
+                         ids=["negative", "duplicate", "past-the-end", "one-past-the-end"])
+def test_subsystem_rejects_bad_indices_by_name(indices, index):
+    # [-1] used to take the last site, [1, 1] to build a 32-dimensional CN0
+    # system with one nucleus twice, and [99] to raise a bare IndexError.
+    cn = build_system(find_defect(load_defect_dataset(), "CN0"))
+    with pytest.raises(ValueError, match=rf"site index {index} "):
+        cn.subsystem(indices)
+
+
+def test_subsystem_keeps_the_given_order():
+    cn = build_system(find_defect(load_defect_dataset(), "CN0"))
+    sub = cn.subsystem(iter([3, 0, 9]), label_suffix=":picked")
+    assert [site for site, _ in sub.sites] == [cn.sites[k][0] for k in (3, 0, 9)]
+    assert sub.label == "CN0:picked"
+
+
 def test_system_round_trip_serialization():
     records = load_defect_dataset()
     cn = build_system(find_defect(records, "CN0"))
