@@ -214,17 +214,12 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
     return dataclasses.replace(pattern, probability=1.0)
 
 
-def _perturbative(args, method: str) -> dict:
-    """Settings of a perturbative ``method``, as solver keywords."""
-    order, mode = PERTURBATIVE[method]
-    return dict(order=order, mode=mode, sample_count=args.samples, seed=args.seed)
-
-
 def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
     """Run ``method`` on ``system``; ``subset_terms`` extend hfi for hybrid."""
     field = _field(args)
     if method in PERTURBATIVE:
-        return sample_configurations(system, field, **_perturbative(args, method))
+        order, mode = PERTURBATIVE[method]
+        return sample_configurations(system, field, order, mode, args.samples, args.seed)
     if method == "hybrid":
         indices = shell_indices(system, _SHELL_DISTANCE[args.exact_shell])
         if not indices:
@@ -249,8 +244,7 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
                 "(perturb1, perturb2 or a-constants)"
             )
         patterns = enumerate_patterns(system, (args.element,))
-        settings = _perturbative(args, args.method)
-        return composite_lines(system, patterns, _field(args), **settings)
+        return composite_lines(system, patterns, _field(args), *PERTURBATIVE[args.method])
     if args.isotope_mode == "explicit":
         if not args.pattern:
             raise UsageError("--isotopes explicit needs --pattern")

@@ -221,6 +221,16 @@ def normalize_terms(terms) -> frozenset:
     return mask
 
 
+def _checked_field(field) -> np.ndarray:
+    """``field`` as a float array; ``ValueError`` unless a finite 3-vector."""
+    b = np.asarray(field, dtype=float)
+    if b.shape != (3,):
+        raise ValueError("field must be a 3-vector in Gauss")
+    if not np.isfinite(b).all():
+        raise ValueError(f"field must be finite, got {b.tolist()}")
+    return b
+
+
 def build_hamiltonian(
     system: SpinSystem,
     field,
@@ -235,11 +245,7 @@ def build_hamiltonian(
     requested for a quadrupolar site without an EFG tensor.
     """
     mask = normalize_terms(terms)
-    b = np.asarray(field, dtype=float)
-    if b.shape != (3,):
-        raise ValueError("field must be a 3-vector in Gauss")
-    if not np.isfinite(b).all():
-        raise ValueError(f"field must be finite, got {b.tolist()}")
+    b = _checked_field(field)
     dims = (2,) + system.site_dimensions()
     n = system.dimension
     if n > dimension_cap:

@@ -20,11 +20,9 @@ from .solvers import (
     MODE_FULL,
     _compositions,
     _multinomial,
-    sample_configurations,
+    perturb_lines,
 )
 from .system import SpinSystem
-
-PROBABILITY_FLOOR = 1e-4
 
 GroupCounts = tuple[tuple[str, int], ...]       # ((isotope symbol, count), ...)
 
@@ -160,57 +158,28 @@ def composite_lines(
     field,
     order: int = 2,
     mode: str = MODE_FULL,
-    sample_count: int = 100_000,
-    seed: int = 0,
 ) -> LineList:
     """Abundance-weighted merge of per-pattern line lists.
 
-    Each pattern is solved by ``sample_configurations`` with ``order``,
-    ``mode`` and ``sample_count``: an enumerated pattern adds one line per
-    count-level class, a sampled one a line per draw, each weighted by the
-    pattern probability. The lists are concatenated pattern by pattern, not
-    sorted. Patterns below ``PROBABILITY_FLOOR`` are skipped; the skipped
-    probability mass is reported in the result metadata. Each pattern gets
-    a child seed derived from ``seed`` and its index, so the merged list is
-    deterministic for any evaluation order.
+    Each pattern is solved by ``perturb_lines`` with ``order`` and ``mode``:
+    one line per count-level class, weighted by the class probability times
+    the pattern probability, concatenated in pattern order (not sorted). A
+    pattern past ``ENUMERATION_THRESHOLD`` classes raises ``ValueError``.
     """
     patterns = list(patterns)
     total_p = sum(p.probability for p in patterns)
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError(f"pattern probabilities sum to {total_p}, expected 1")
-    freqs, intens, weights = [], [], []
-    skipped = 0.0
-    solved = 0
-    for k, pattern in enumerate(patterns):
-        if pattern.probability < PROBABILITY_FLOOR:
-            skipped += pattern.probability
-            continue
-        concrete = apply_pattern(system, pattern)
-        lines = sample_configurations(
-            concrete,
-            field,
-            order=order,
-            mode=mode,
-            sample_count=sample_count,
-            seed=[seed, k],
-        )
-        freqs.append(lines.frequencies)
-        intens.append(lines.intensities)
-        weights.append(lines.weights * pattern.probability)
-        solved += 1
-    merged = LineList(
+    solved = [
+        perturb_lines(apply_pattern(system, p), field, order, mode) for p in patterns
+    ]
+    return LineList(
         method="composite",
         field=field,
-        frequencies=np.concatenate(freqs) if freqs else np.zeros(0),
-        intensities=np.concatenate(intens) if intens else np.zeros(0),
-        weights=np.concatenate(weights) if weights else np.zeros(0),
-        meta={
-            "patterns_solved": solved,
-            "patterns_skipped": len(patterns) - solved,
-            "skipped_probability": skipped,
-            "order": order,
-            "mode": mode,
-            "seed": seed,
-        },
+        frequencies=np.concatenate([s.frequencies for s in solved]),
+        intensities=np.concatenate([s.intensities for s in solved]),
+        weights=np.concatenate(
+            [s.weights * p.probability for s, p in zip(solved, patterns)]
+        ),
+        meta={"patterns_solved": len(solved), "order": order, "mode": mode},
     )
-    return merged

@@ -49,6 +49,7 @@ from .hamiltonian import (
     DIMENSION_CAP,
     DimensionError,
     HamiltonianMatrix,
+    _checked_field,
     build_hamiltonian,
     normalize_terms,
 )
@@ -56,7 +57,7 @@ from .isotopes import ELECTRON_ZEEMAN_MHZ_PER_G
 from .system import SpinSystem
 
 INTENSITY_FLOOR = 1e-6          # relative to the strongest line
-ENUMERATION_THRESHOLD = 10**6   # configurations; beyond this, sample
+ENUMERATION_THRESHOLD = 10**6   # configurations before sampling; classes before raising
 # Sites whose shift tables agree this closely (MHz) are counted as one group.
 _SHIFT_TOLERANCE = 1e-9
 # A split spectrum with a gap at most this times max |E| is solved in full:
@@ -175,8 +176,8 @@ def _site_arrays(system: SpinSystem) -> _SiteArrays:
 def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
     """Checked set-up shared by every perturbative solver.
 
-    Validates ``order``, ``mode`` and the field (``ValueError`` unless every
-    component is finite), raises ``ZeroFieldError`` at zero electron Zeeman
+    Validates ``order``, ``mode`` and the field (``ValueError`` unless it is a
+    finite 3-vector), raises ``ZeroFieldError`` at zero electron Zeeman
     splitting, warns for each site in ``sites`` (default: all) whose
     coupling is not small against nu_e, and returns nu_e (MHz) with the
     per-projection shift table of each site in ``sites``, m descending.
@@ -186,10 +187,7 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
         raise ValueError("order must be 1 or 2")
     if mode not in (MODE_FULL, MODE_ACONST):
         raise ValueError(f"mode must be {MODE_FULL!r} or {MODE_ACONST!r}, not {mode!r}")
-    b = np.asarray(field, dtype=float)
-    if not np.isfinite(b).all():
-        raise ValueError(f"field must be finite, got {b.tolist()}")
-    nu_e, axis = electron_axis(system, field)
+    nu_e, axis = electron_axis(system, _checked_field(field))
     if nu_e == 0.0:
         raise ZeroFieldError(
             "zero electron Zeeman splitting; use exact_transitions instead"
@@ -289,7 +287,8 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     Groups combine by outer sum (shifts add, probabilities multiply); the
     probabilities depend only on the group structure, so they come from a
     small cache (as a fresh copy). Returns ``(shifts, probabilities)`` in no
-    particular order.
+    particular order. Raises ``ValueError`` past ``ENUMERATION_THRESHOLD``
+    classes, counted from the group structure before any array is built.
     """
     groups: list[list[np.ndarray]] = []
     heads: list[list[float]] = []
@@ -305,15 +304,19 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
         else:
             groups.append([table])
             heads.append(values)
-    shifts, classes = np.zeros(1), 1
+    structure = tuple((len(members), members[0].size) for members in groups)
+    # A group of k sites with d projections has C(k + d - 1, d - 1) classes.
+    classes = math.prod(math.comb(k + d - 1, d - 1) for k, d in structure)
+    if classes > ENUMERATION_THRESHOLD:
+        raise ValueError(f"{classes} configuration classes exceed the enumeration "
+                         f"limit {ENUMERATION_THRESHOLD}")
+    shifts = np.zeros(1)
     for members in groups:
         counts, _ = _group_classes(len(members), members[0].size)
         # sum / k is np.mean's arithmetic (same bits) without its wrapper.
         table = (members[0] if len(members) == 1
                  else np.array(members).sum(axis=0) / len(members))
         shifts = np.add.outer(shifts, counts @ table).ravel()
-        classes *= len(counts)
-    structure = tuple((len(members), members[0].size) for members in groups)
     if classes <= _CLASS_CACHE_LIMIT:
         return shifts, _cached_fold(structure).copy()
     return shifts, _fold_probabilities(structure)
@@ -329,7 +332,8 @@ def perturb_lines(
     count-level class of configurations: unit intensity, weight equal to
     the class probability. ``meta["configurations"]`` is the number of
     configurations, prod(2I_k + 1). ``mode`` selects the full crystal-frame
-    tensors or the diagonal principal-value simplification.
+    tensors or the diagonal principal-value simplification. Raises
+    ``ValueError`` past ``ENUMERATION_THRESHOLD`` classes.
     """
     nu_e, tables = _shift_tables(system, field, order, mode)
     shifts, probs = _shift_distribution(tables)
@@ -502,7 +506,7 @@ def hybrid_solve(
     windowing is the statistics layer's job. ``order`` and ``mode`` are
     checked, and zero field rejected, even when every site is exact.
     Raises ``DimensionError`` when the exact subsystem is larger than
-    ``DIMENSION_CAP``.
+    ``DIMENSION_CAP``, and ``ValueError`` past ``ENUMERATION_THRESHOLD`` classes.
     """
     selection = _normalize_selection(system, exact_sites)
     mask = normalize_terms(subset_terms) | {"ezi"}

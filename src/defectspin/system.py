@@ -396,7 +396,15 @@ def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
         where = f"{path}: defect #{i}"
         if "label" not in raw:
             raise DatasetError(f"{where}: missing mandatory field 'label'")
-        label = raw["label"]
+        label, zpl, notes = raw["label"], raw.get("zpl_eV"), raw.get("notes", "")
+        # A bool is an int to Python, but not a number to JSON.
+        for name, ok, kind in (
+            ("label", isinstance(label, str), "a string"),
+            ("zpl_eV", zpl is None or type(zpl) in (int, float), "a number or null"),
+            ("notes", isinstance(notes, str), "a string"),
+        ):
+            if not ok:
+                raise DatasetError(f"{where}: {name!r} must be {kind}")
         shells = tuple(
             _parse_shell(s, f"{where} ({label})") for s in raw.get("sites", [])
         )
@@ -404,10 +412,10 @@ def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
         records.append(
             DefectRecord(
                 label=label,
-                zpl_energy=raw.get("zpl_eV"),
+                zpl_energy=zpl,
                 shells=shells,
                 sites=sites,
-                notes=raw.get("notes", ""),
+                notes=notes,
             )
         )
     return tuple(records)

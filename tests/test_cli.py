@@ -104,6 +104,25 @@ def test_odmr_natural_requires_perturbative_method(capsys):
     assert "perturbative" in err
 
 
+def test_natural_composite_past_the_enumeration_limit_exits_one(capsys, tmp_path):
+    # Ten boron sites with distinct tensors: even the all-11B pattern has
+    # 4**10 classes, and a composite enumerates every pattern it solves.
+    sites = tuple(
+        (NuclearSite("B", 1.0, 0.0, (1.0 + k, 2.0 + k, 3.0 + 2 * k), np.eye(3),
+                     group_id="B-big"), lookup("10B"))
+        for k in range(10)
+    )
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(SpinSystem("big", sites).to_dict()))
+    argv = ["odmr", "--system", str(path), "--isotopes", "natural"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "defectspin: error: 1048576 configuration classes exceed the enumeration "
+        "limit 1000000\n"
+    )
+
+
 def test_odmr_file_exports(capsys, tmp_path):
     lines_path = tmp_path / "lines.tsv"
     spec_path = tmp_path / "spec.tsv"
@@ -187,6 +206,29 @@ def test_corrupt_dataset_exits_three(capsys, tmp_path):
     )
     assert code == 3
     assert "dataset error" in err
+
+
+@pytest.mark.parametrize(
+    "key, value, defect, message",
+    [
+        ("zpl_eV", "1.7", "CN0", "'zpl_eV' must be a number or null"),
+        ("zpl_eV", True, "CN0", "'zpl_eV' must be a number or null"),
+        ("label", 5, "cn0", "'label' must be a string"),
+        ("notes", ["x"], "CN0", "'notes' must be a string"),
+    ],
+    ids=["string-zpl", "bool-zpl", "numeric-label", "list-notes"],
+)
+def test_defect_field_of_the_wrong_type_exits_three(
+    capsys, tmp_path, key, value, defect, message
+):
+    doc = json.loads(Path(dataset_path("defects")).read_text())
+    index = next(i for i, r in enumerate(doc["defects"]) if r["label"] == "CB0")
+    doc["defects"][index][key] = value
+    path = tmp_path / "defects.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["odmr", "--defect", defect, "--data", str(tmp_path)])
+    assert (code, out) == (3, "")
+    assert err == f"defectspin: dataset error: {path}: defect #{index}: {message}\n"
 
 
 @pytest.mark.parametrize("fmt", ["table", "csv"])

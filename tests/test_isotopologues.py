@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 from defectspin.isotopes import lookup
 from defectspin.isotopologues import (
-    PROBABILITY_FLOOR,
     IsotopePattern,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
     rescale_hyperfine,
 )
-from defectspin.solvers import MODE_ACONST, MODE_FULL
+from defectspin.solvers import MODE_ACONST, MODE_FULL, perturb_lines
 from defectspin.spectrum import peak_stats
 from defectspin.system import (
     NuclearSite,
@@ -32,8 +31,9 @@ from defectspin.system import (
 FIELD = np.array([0.0, 0.0, 42.0])
 
 
-def _load(label):
-    return build_system(find_defect(load_defect_dataset(), label))
+def _load(label, carbon13=False):
+    record = find_defect(load_defect_dataset(), label)
+    return build_system(record, {"C": "13C"} if carbon13 else None)
 
 
 def _binomial(n, k, p):
@@ -187,22 +187,39 @@ def test_composite_lines_weights_carry_probability():
     assert 45.0 < stats.fwhm_gauss < 75.0
 
 
-def test_composite_skips_below_probability_floor():
-    system = _load("CB0")
+@pytest.mark.filterwarnings("ignore:site 0")      # 13C couples strongly at 42 G
+@pytest.mark.parametrize(
+    "field", [FIELD, (11.0, 23.0, 37.0), (-150.0, 40.0, 80.0)],
+    ids=["c", "tilted", "tilted-150G"],
+)
+@pytest.mark.parametrize("carbon13", [False, True], ids=["12C", "13C"])
+@pytest.mark.parametrize("label", ["CN0", "CB0"])
+def test_composite_is_the_merge_of_per_pattern_solves(label, carbon13, field):
+    # Every pattern solved, none skipped or sampled: each pattern's
+    # perturb_lines list, weights times its probability, in pattern order.
+    system = _load(label, carbon13)
     patterns = enumerate_patterns(system)
-    rare = min(p.probability for p in patterns)
-    lines = composite_lines(system, patterns, FIELD, sample_count=2000)
-    assert rare < PROBABILITY_FLOOR
-    assert lines.meta["skipped_probability"] == pytest.approx(rare, rel=1e-9)
-    assert lines.meta["patterns_skipped"] == 1
-    assert lines.total_weight == pytest.approx(1.0 - rare, abs=1e-9)
+    solved = [perturb_lines(apply_pattern(system, p), field) for p in patterns]
+    lines = composite_lines(system, patterns, field)
+    np.testing.assert_array_equal(
+        lines.frequencies, np.concatenate([s.frequencies for s in solved])
+    )
+    np.testing.assert_array_equal(
+        lines.intensities, np.concatenate([s.intensities for s in solved])
+    )
+    np.testing.assert_array_equal(
+        lines.weights,
+        np.concatenate([s.weights * p.probability for s, p in zip(solved, patterns)]),
+    )
+    assert lines.meta == {"patterns_solved": len(patterns), "order": 2, "mode": MODE_FULL}
+    assert lines.total_weight == pytest.approx(1.0, abs=1e-12)
 
 
 def test_composite_is_deterministic():
     system = _load("CB0")
     patterns = enumerate_patterns(system)
-    a = composite_lines(system, patterns, FIELD, sample_count=2000, seed=11)
-    b = composite_lines(system, patterns, FIELD, sample_count=2000, seed=11)
+    a = composite_lines(system, patterns, FIELD)
+    b = composite_lines(system, patterns, FIELD)
     np.testing.assert_array_equal(a.frequencies, b.frequencies)
     np.testing.assert_array_equal(a.weights, b.weights)
 
@@ -218,8 +235,7 @@ def test_composite_rejects_inconsistent_probabilities():
 def test_composite_lines_defaults():
     parameters = inspect.signature(composite_lines).parameters.values()
     defaults = {p.name: p.default for p in parameters if p.default is not p.empty}
-    assert defaults == {"order": 2, "mode": MODE_FULL, "sample_count": 100_000, "seed": 0}
-    assert PROBABILITY_FLOOR == pytest.approx(1e-4)
+    assert defaults == {"order": 2, "mode": MODE_FULL}
 
 
 @settings(max_examples=20, deadline=None)
@@ -238,8 +254,6 @@ def test_composite_weights_conserve_probability(label, magnitude, direction, ord
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")          # strong-coupling warnings
         lines = composite_lines(
-            system, enumerate_patterns(system), field, order=order, mode=mode,
-            sample_count=2000,
+            system, enumerate_patterns(system), field, order=order, mode=mode
         )
-    skipped = lines.meta["skipped_probability"]
-    assert lines.total_weight == pytest.approx(1.0 - skipped, abs=1e-9)
+    assert lines.total_weight == pytest.approx(1.0, abs=1e-9)

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
+from defectspin.isotopologues import composite_lines, enumerate_patterns
 from defectspin import solvers
 from defectspin.solvers import (
+    ENUMERATION_THRESHOLD,
     INTENSITY_FLOOR,
     MODE_ACONST,
     MODE_FULL,
@@ -725,19 +727,63 @@ _FRONT_DOORS = {
 
 @pytest.mark.parametrize("solver", sorted(_FRONT_DOORS))
 @pytest.mark.parametrize(
-    "field, kwargs, error",
+    "field, kwargs, error, match",
     [
-        (np.zeros(3), {}, ZeroFieldError),
-        (FIELD, {"mode": "bogus"}, ValueError),
-        (FIELD, {"order": 3}, ValueError),
-        (np.array([np.nan, 0.0, 1.0]), {}, ValueError),
-        (np.array([np.inf, 0.0, 1.0]), {}, ValueError),
+        (np.zeros(3), {}, ZeroFieldError, None),
+        (FIELD, {"mode": "bogus"}, ValueError, None),
+        (FIELD, {"order": 3}, ValueError, None),
+        (np.array([np.nan, 0.0, 1.0]), {}, ValueError, None),
+        (np.array([np.inf, 0.0, 1.0]), {}, ValueError, None),
+        ([1.0, 2.0], {}, ValueError, "field must be a 3-vector in Gauss"),
+        ([[0.0, 0.0, 42.0]], {}, ValueError, "field must be a 3-vector in Gauss"),
+        ([0.0, 0.0, 42.0, 1.0], {}, ValueError, "field must be a 3-vector in Gauss"),
     ],
-    ids=["zero-field", "bad-mode", "bad-order", "nan-field", "inf-field"],
+    ids=["zero-field", "bad-mode", "bad-order", "nan-field", "inf-field",
+         "two-components", "row-matrix", "four-components"],
 )
-def test_perturbative_front_doors_reject_bad_requests(solver, field, kwargs, error):
-    with pytest.raises(error):
+def test_perturbative_front_doors_reject_bad_requests(solver, field, kwargs, error, match):
+    with pytest.raises(error, match=match):
         _FRONT_DOORS[solver](_load("CN0"), field, **kwargs)
+
+
+def _inequivalent_boron(count):
+    """``count`` 10B sites in one group, no two with the same tensor: 7**count
+    configurations and as many classes, since no two shift tables agree."""
+    sites = tuple(
+        (NuclearSite("B", 1.0, 0.0, (1.0 + k, 2.0 + k, 3.0 + 2 * k), np.eye(3),
+                     group_id="B-big"), lookup("10B"))
+        for k in range(count)
+    )
+    return SpinSystem("big", sites)
+
+
+def test_enumeration_limit_raises_before_any_class_is_built(monkeypatch):
+    # Ten sites, so that even the all-11B pattern of a composite has
+    # 4**10 > 10**6 classes; hybrid_solve keeps 9 of them perturbative.
+    system = _inequivalent_boron(10)
+
+    def built(*args):
+        raise AssertionError("a class list was started past the limit")
+
+    monkeypatch.setattr(solvers, "_group_classes", built)
+    calls = {
+        7**10: lambda: perturb_lines(system, FIELD),
+        7**9: lambda: hybrid_solve(system, (0,), FIELD),
+        4**10: lambda: composite_lines(system, enumerate_patterns(system), FIELD),
+    }
+    for classes, call in calls.items():
+        assert classes > ENUMERATION_THRESHOLD
+        message = (f"{classes} configuration classes exceed the enumeration "
+                   f"limit {ENUMERATION_THRESHOLD}")
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_sampling_still_takes_systems_past_the_enumeration_limit():
+    lines = sample_configurations(_inequivalent_boron(10), FIELD, sample_count=500)
+    assert lines.meta["sampled"] is True
+    assert lines.meta["configurations"] == 7**10
+    assert len(lines) == 500
 
 
 def _reference_table(site, iso, axis, nu_e, order, mode):
