@@ -22,6 +22,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .spectrum import (
     DEFAULT_WINDOW,
     _uniform_grid,
     peak_stats,
+    perturb_stats,
     shift,
     synthesize,
     write_linelist,
@@ -234,7 +236,9 @@ def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:
     return exact_transitions(build_hamiltonian(system, field, terms=terms), system)
 
 
-def _run_pipeline(args, system: SpinSystem) -> LineList:
+def _run_pipeline(args, system: SpinSystem):
+    """The run's (system, probability) parts, after the isotope-mode checks,
+    and a thunk that solves them into one line list."""
     if args.pattern and args.isotope_mode != "explicit":
         raise UsageError("argument --pattern: needs --isotopes explicit")
     if args.isotope_mode == "natural":
@@ -244,12 +248,32 @@ def _run_pipeline(args, system: SpinSystem) -> LineList:
                 "(perturb1, perturb2 or a-constants)"
             )
         patterns = enumerate_patterns(system, (args.element,))
-        return composite_lines(system, patterns, _field(args), *PERTURBATIVE[args.method])
+        parts = [(apply_pattern(system, p), p.probability) for p in patterns]
+        return parts, functools.partial(
+            composite_lines, system, patterns, _field(args), *PERTURBATIVE[args.method])
     if args.isotope_mode == "explicit":
         if not args.pattern:
             raise UsageError("--isotopes explicit needs --pattern")
         system = apply_pattern(system, _parse_pattern(args, system))
-    return _solve(args, system, args.method, args.subset_terms)
+    return [(system, 1.0)], functools.partial(_solve, args, system, args.method, args.subset_terms)
+
+
+def _peak_stats(args, method: str, parts, solve):
+    """Statistics of a run and, if solved, its lines: the closed form of ``parts``
+    for a perturbative ``method`` whose window cuts no line, else ``solve()``'s."""
+    if parts and method in PERTURBATIVE:
+        order, mode = PERTURBATIVE[method]
+        stats = perturb_stats(parts, _field(args), order, mode, args.window, args.shift_mhz)
+        if stats is not None:
+            return stats, None
+        with warnings.catch_warnings():     # perturb_stats has warned for these systems
+            warnings.simplefilter("ignore", UserWarning)
+            lines = solve()
+    else:
+        lines = solve()
+    if args.shift_mhz:
+        lines = shift(lines, args.shift_mhz)
+    return peak_stats(lines, args.window), lines
 
 
 def _export_meta(args) -> dict:
@@ -292,10 +316,9 @@ def _print_table(title: str, header: dict, rows, fmt: str):
 
 def cmd_odmr(args) -> int:
     system = _resolve_system(args)
-    lines = _run_pipeline(args, system)
-    if args.shift_mhz:
-        lines = shift(lines, args.shift_mhz)
-    stats = peak_stats(lines, args.window)
+    parts, solve = _run_pipeline(args, system)
+    exports = args.out_lines or args.out_spectrum       # they need the lines themselves
+    stats, lines = _peak_stats(args, args.method, None if exports else parts, solve)
     meta = _export_meta(args)
     values = {
         "center_MHz": stats.center,
@@ -326,8 +349,9 @@ def cmd_compare_methods(args) -> int:
     system = _resolve_system(args)
     rows = []
     for label, method, subset_terms in LADDER:
+        solve = functools.partial(_solve, args, system, method, subset_terms)
         try:
-            stats = peak_stats(_solve(args, system, method, subset_terms), args.window)
+            stats, _ = _peak_stats(args, method, [(system, 1.0)], solve)
         except ValueError as exc:
             print(f"defectspin: {label}: {exc}", file=sys.stderr)
             rows.append([label, "n/a", "n/a"])
@@ -353,10 +377,9 @@ def cmd_isotopes(args) -> int:
     rows = []
     for k, pattern in enumerate(patterns):
         concrete = apply_pattern(system, pattern)
-        lines = sample_configurations(
-            concrete, _field(args), sample_count=args.samples, seed=[args.seed, k]
-        )
-        stats = peak_stats(lines, args.window)
+        solve = functools.partial(sample_configurations, concrete, _field(args),
+                                  sample_count=args.samples, seed=[args.seed, k])
+        stats, _ = _peak_stats(args, "perturb2", [(concrete, 1.0)], solve)
         rows.append(
             [pattern.count_of(s) for s in symbols]
             + [100.0 * pattern.probability, stats.center, stats.fwhm_gauss]
@@ -443,12 +466,12 @@ def _add_spectroscopy(p: argparse.ArgumentParser):
                    help="field direction (crystal frame)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=_count, default=100_000,
-                   help="Monte-Carlo sample count past the enumeration threshold")
+                   help="Monte-Carlo draws past the enumeration limit, for line lists only")
     p.add_argument("--window", type=_window, default=DEFAULT_WINDOW,
                    help="analysis window lo,hi in MHz")
     # Settings every spectroscopy run has; odmr and isotopes expose some as
     # flags, which take these defaults.
-    p.set_defaults(exact_shell=1, include_nqi=False, carbon13=False, element="B")
+    p.set_defaults(exact_shell=1, include_nqi=False, carbon13=False, element="B", shift_mhz=0.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -568,7 +591,7 @@ _EXITS = (
     ((DatasetError,), 3, "dataset error: "),
     ((np.linalg.LinAlgError,), 2, "numerical failure: "),
     ((DimensionError, ZeroFieldError), 1, ""),
-    ((OSError, ValueError, KeyError), 1, "error: "),
+    ((OSError, ValueError, KeyError, MemoryError), 1, "error: "),
 )
 
 

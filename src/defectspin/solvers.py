@@ -4,8 +4,8 @@ Every solver returns a ``LineList`` whose entries carry a frequency (MHz),
 an intensity (transition moment, dimensionless) and a weight (the
 probability of its class of nuclear configurations, or of its draw when
 sampled, times the isotopologue probability in a composite). Peak
-statistics always come from the line list itself, never from a rendered
-spectrum.
+statistics come from the line list itself, or in closed form from the same
+shift tables (``spectrum.perturb_stats``), never from a rendered spectrum.
 
 The perturbative path treats each nucleus independently. With the
 electron quantized along n (the direction of g^T B), a site with crystal

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,9 @@ from defectspin import cli
 from defectspin.cli import UsageError, main
 from defectspin.hamiltonian import DimensionError
 from defectspin.isotopes import lookup
+from defectspin.isotopologues import apply_pattern, enumerate_patterns
 from defectspin.solvers import ZeroFieldError
+from defectspin.spectrum import perturb_stats
 from defectspin.system import (
     DatasetError,
     NuclearSite,
@@ -121,6 +124,30 @@ def test_natural_composite_past_the_enumeration_limit_exits_one(capsys, tmp_path
         "defectspin: error: 1048576 configuration classes exceed the enumeration "
         "limit 1000000\n"
     )
+
+
+def test_natural_composite_past_the_enumeration_limit_has_closed_form_statistics(
+    capsys, tmp_path
+):
+    # The system above, with a window that cuts no line: the statistics come
+    # from the shift tables, and no class is enumerated.
+    sites = tuple(
+        (NuclearSite("B", 1.0, 0.0, (1.0 + k, 2.0 + k, 3.0 + 2 * k), np.eye(3),
+                     group_id="B-big"), lookup("10B"))
+        for k in range(10)
+    )
+    system = SpinSystem("big", sites)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(system.to_dict()))
+    argv = ["odmr", "--system", str(path), "--isotopes", "natural", "--window=-1000,inf"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    parts = [(apply_pattern(system, p), p.probability) for p in enumerate_patterns(system)]
+    stats = perturb_stats(parts, [0.0, 0.0, 42.0], window=(-1000.0, math.inf))
+    assert out.splitlines()[2:] == [
+        f"center_MHz {stats.center:.9g}", f"sigma_MHz {stats.sigma:.9g}",
+        f"fwhm_MHz {stats.fwhm_gauss:.9g}", "included_weight_fraction 1",
+    ]
 
 
 def test_odmr_file_exports(capsys, tmp_path):
@@ -788,3 +815,77 @@ def test_unexpected_error_is_not_swallowed(monkeypatch):
     monkeypatch.setattr(cli, "cmd_ctl", fail)
     with pytest.raises(RuntimeError, match="bug"):
         main(["ctl"])
+
+
+def test_failed_allocation_exits_one_without_a_traceback(capsys, monkeypatch):
+    message = ("Unable to allocate 24.5 GiB for an array with shape (4000, 823543) "
+               "and data type float64")
+
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "hybrid_solve", fail)
+    code, out, err = _run(capsys, ["odmr", "--defect", "CB0", "--method", "hybrid"])
+    assert (code, out, err) == (1, "", f"defectspin: error: {message}\n")
+
+
+_ISOTOPE_MODES = {
+    "fixed": {"CN0": [], "CB0": []},
+    "explicit": {"CN0": ["--isotopes", "explicit", "--pattern", "11B:1,10B:2"],
+                 "CB0": ["--isotopes", "explicit", "--pattern", "11B:4,10B:2"]},
+    "natural": {"CN0": ["--isotopes", "natural"], "CB0": ["--isotopes", "natural"]},
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--shift", "25", "--window", "50,inf"], ["--window", "0,450"],
+     ["--method", "a-constants", "--window=-inf,inf"], ["--method", "perturb1"]],
+    ids=["defaults", "shift", "upper-edge", "a-constants", "perturb1"],
+)
+@pytest.mark.parametrize("mode", list(_ISOTOPE_MODES))
+@pytest.mark.parametrize(
+    "field", [["--B", "42"], ["--B", "150", "--direction", "0.3,0.4,0.8"],
+              ["--B", "300", "--direction", "1,0,0.05"]],
+    ids=["42G-c", "150G-tilted", "300G-tilted"],
+)
+@pytest.mark.parametrize("defect", ["CN0", "CB0"])
+def test_stats_only_odmr_prints_what_the_lines_path_prints(
+    capsys, tmp_path, defect, field, mode, flags
+):
+    # --out-lines needs the lines, so it takes the line-list path; a
+    # stats-only run takes the closed form unless the window cuts a line.
+    argv = ["odmr", "--defect", defect, *field, *_ISOTOPE_MODES[mode][defect], *flags]
+    stats_only = _run(capsys, argv)
+    lines_path = _run(capsys, [*argv, "--out-lines", str(tmp_path / "lines.tsv")])
+    assert stats_only == lines_path
+
+
+@pytest.mark.parametrize("mode", list(_ISOTOPE_MODES))
+@pytest.mark.parametrize("defect", ["CN0", "CB0"])
+def test_stats_only_odmr_solves_no_lines_when_the_window_cuts_none(
+    capsys, monkeypatch, defect, mode
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("the line-list path ran")
+
+    monkeypatch.setattr(cli, "sample_configurations", fail)
+    monkeypatch.setattr(cli, "composite_lines", fail)
+    argv = ["odmr", "--defect", defect, "--B", "150", "--direction", "0.3,0.4,0.8",
+            *_ISOTOPE_MODES[mode][defect], "--shift", "-20"]
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "included_weight_fraction 1\n" in out
+
+
+def test_compare_methods_and_isotopes_take_the_closed_form(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the line-list path ran")
+
+    runs = [["compare-methods", "--defect", "CB0", "--B", "150"],
+            ["isotopes", "--defect", "CB0", "--B", "150", "--format", "csv"]]
+    printed = [_run(capsys, argv) for argv in runs]
+    # On the line-list path the perturbative rungs and the rows call it.
+    monkeypatch.setattr(cli, "sample_configurations", fail)
+    assert [_run(capsys, argv) for argv in runs] == printed
+    assert "n/a" not in printed[0][1]

@@ -5,22 +5,25 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR
-from defectspin.solvers import LineList
+from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR, lookup
+from defectspin.isotopologues import apply_pattern, composite_lines, enumerate_patterns
+from defectspin.solvers import MODE_ACONST, MODE_FULL, LineList, perturb_lines
 from defectspin.spectrum import (
     DEFAULT_WINDOW,
     KERNEL_REACH,
     Spectrum,
     default_grid,
     peak_stats,
+    perturb_stats,
     shift,
     synthesize,
     write_linelist,
     write_spectrum,
 )
+from defectspin.system import NuclearSite, SpinSystem
 
 FIELD = np.array([0.0, 0.0, 42.0])
 
@@ -475,3 +478,96 @@ def test_write_spectrum_bytes_match_format_writer(tmp_path, grid, intensity):
     _format_writer(tmp_path / "slow.tsv", spec.meta, {"seed": 2},
                    "frequency_MHz intensity", spec.grid, spec.intensity)
     assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
+
+
+# Random sites for the closed-form statistics: an isotope, principal values
+# in MHz and a quaternion for the frame.
+_COUPLINGS = st.tuples(*[st.floats(-40.0, 40.0)] * 3)
+_QUATERNION = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: np.linalg.norm(q) > 0.1
+)
+_SITE = st.tuples(st.sampled_from(["11B", "10B", "14N", "15N", "13C", "12C"]),
+                  _COUPLINGS, _QUATERNION)
+_BORON = st.tuples(st.sampled_from(["11B", "10B"]), _COUPLINGS, _QUATERNION)
+_NOT_BORON = st.tuples(st.sampled_from(["14N", "15N", "13C", "12C"]),
+                       _COUPLINGS, _QUATERNION)
+_FIELD = st.builds(
+    lambda magnitude, d: magnitude * np.asarray(d) / np.linalg.norm(d),
+    st.floats(5.0, 300.0),
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda d: np.linalg.norm(d) > 0.1),
+)
+_ORDER, _MODE = st.sampled_from([1, 2]), st.sampled_from([MODE_FULL, MODE_ACONST])
+
+
+def _sites(kinds, group_id=""):
+    sites = []
+    for symbol, couplings, q in kinds:
+        w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+        frame = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ])
+        iso = lookup(symbol)
+        sites.append((NuclearSite(iso.element, 1.0, 0.0, couplings, frame,
+                                  group_id=group_id), iso))
+    return sites
+
+
+def _window(data, frequencies):
+    """A window about the lines: either edge may cut some off, or be infinite."""
+    low, high = frequencies.min(), frequencies.max()
+    span = high - low + 1.0
+    lo = low + span * data.draw(st.floats(-0.5, 0.5) | st.just(-math.inf))
+    hi = high + span * data.draw(st.floats(-0.5, 0.5) | st.just(math.inf))
+    assume(lo < hi)
+    return lo, hi
+
+
+def _assert_closed_form(stats, lines, window):
+    """``stats`` is ``None`` when the window cuts a line, else ``peak_stats``."""
+    f = lines.frequencies
+    if f.min() < window[0] or f.max() > window[1]:
+        assert stats is None
+    if stats is not None:
+        expected = peak_stats(lines, window)
+        for name in ("center", "sigma", "fwhm_gauss"):
+            assert getattr(stats, name) == pytest.approx(
+                getattr(expected, name), rel=0.0, abs=1e-9)
+        assert (stats.window, stats.included_weight_fraction) == (expected.window, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=st.lists(_SITE, min_size=1, max_size=3), field=_FIELD, order=_ORDER,
+       mode=_MODE, delta=st.floats(-50.0, 50.0), data=st.data())
+def test_perturb_stats_is_peak_stats_of_the_lines_or_none(
+    kinds, field, order, mode, delta, data
+):
+    # Repeated kinds give groups of equal tables, as equivalent nuclei do.
+    picks = data.draw(st.lists(st.integers(0, len(kinds) - 1), min_size=1, max_size=4))
+    system = SpinSystem("random", tuple(_sites([kinds[k] for k in picks])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
+        lines = shift(perturb_lines(system, field, order, mode), delta)
+        window = _window(data, lines.frequencies)
+        stats = perturb_stats([(system, 1.0)], field, order, mode, window, delta)
+    _assert_closed_form(stats, lines, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(borons=st.lists(_BORON, min_size=1, max_size=2),
+       others=st.lists(_NOT_BORON, max_size=2), field=_FIELD, order=_ORDER,
+       mode=_MODE, data=st.data())
+def test_perturb_stats_of_a_mixture_is_peak_stats_of_the_composite(
+    borons, others, field, order, mode, data
+):
+    # One or two boron sites in one group give two or three patterns.
+    system = SpinSystem("mixture", tuple(_sites(borons, "B-g") + _sites(others)))
+    patterns = enumerate_patterns(system)
+    parts = [(apply_pattern(system, p), p.probability) for p in patterns]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
+        lines = composite_lines(system, patterns, field, order, mode)
+        window = _window(data, lines.frequencies)
+        stats = perturb_stats(parts, field, order, mode, window)
+    _assert_closed_form(stats, lines, window)
