@@ -65,6 +65,11 @@ _SHIFT_TOLERANCE = 1e-9
 # lines pass INTENSITY_FLOOR. Goes when ROADMAP item 4 sums the moments over
 # degenerate clusters.
 _DEGENERACY_TOLERANCE = 1e-11
+# Block eigenvectors of levels at most this times max |E| apart are refined
+# (``_sharpen``); the rest mix by about eps / _CLOSE_GAP (2e-10) at most.
+# CN0 along c has 1-2 such pairs per block at 150-300 G; below 1e-4 it has
+# dozens, and refining those would cost more than the eigh.
+_CLOSE_GAP = 1e-6
 
 MODE_FULL = "full_tensor"
 MODE_ACONST = "a_constants"
@@ -400,6 +405,42 @@ def _parity_split(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
+def _sharpen(a: np.ndarray, levels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``eigh``'s eigenvectors of ``a``, with one refinement step on each
+    level that lies within ``_CLOSE_GAP`` times max |E| of a neighbour.
+
+    ``eigh`` mixes two levels a gap g apart by up to eps max|E| / g, which
+    moves their moments by as much (5e-7 at a relative gap of 4e-10). One
+    Newton step (Ogita and Aishima, 2018) removes that mixing: with the
+    residuals R = A Q - Q diag(E) of the close columns,
+    Q[:, j] += sum_i Q[:, i] (Q^H R)[i, j] / (E[j] - E[i]). Only R needs more
+    than double precision; it is summed in ``np.longdouble`` over the
+    nonzeros of ``a`` (few per row), so the cost is nnz k + n k^2 for k close
+    columns. The mixing left is about eps max|E| / g squared, plus
+    ``longdouble``'s own eps max|E| / g (nothing gained where ``longdouble``
+    is double). Levels farther apart are left as ``eigh`` gave them: they
+    mix by at most eps / ``_CLOSE_GAP``.
+    """
+    close = np.diff(levels) <= _CLOSE_GAP * np.abs(levels).max()
+    if not close.any():
+        return vectors
+    cols = np.flatnonzero(np.concatenate(([False], close)) | np.concatenate((close, [False])))
+    q = vectors[:, cols]
+    nonzero = np.flatnonzero(a.ravel() != 0)
+    rows, inner = np.divmod(nonzero, a.shape[1])
+    wide = np.clongdouble if np.iscomplexobj(vectors) else np.longdouble
+    terms = np.multiply(a.ravel()[nonzero, None], q[inner], dtype=wide)
+    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+    aq = np.zeros(q.shape, dtype=wide)
+    aq[rows[firsts]] = np.add.reduceat(terms, firsts, axis=0)
+    residual = (aq - q.astype(wide) * levels[cols].astype(wide)).astype(q.dtype)
+    gap = levels[cols][None, :] - levels[cols][:, None]
+    np.fill_diagonal(gap, np.inf)
+    sharpened = vectors.copy()
+    sharpened[:, cols] += q @ ((q.conj().T @ residual) / gap)
+    return sharpened
+
+
 def _block_pairs(h: HamiltonianMatrix, floor: float):
     """Frequencies and S_x moments of the parity-allowed pairs that pass
     ``floor``, from two half-size ``eigh``s, or ``None`` when H does not
@@ -417,11 +458,14 @@ def _block_pairs(h: HamiltonianMatrix, floor: float):
     if (h.matrix[0, odd].any() or h.matrix[np.ix_(even, odd)].any()
             or h.matrix[np.ix_(odd, even)].any()):
         return None
-    e_even, u_even = np.linalg.eigh(h.matrix[np.ix_(even, even)])
-    e_odd, u_odd = np.linalg.eigh(h.matrix[np.ix_(odd, odd)])
+    h_even, h_odd = h.matrix[np.ix_(even, even)], h.matrix[np.ix_(odd, odd)]
+    e_even, u_even = np.linalg.eigh(h_even)
+    e_odd, u_odd = np.linalg.eigh(h_odd)
     merged = np.sort(np.concatenate((e_even, e_odd)))
     if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
         return None
+    u_even = _sharpen(h_even, e_even, u_even)
+    u_odd = _sharpen(h_odd, e_odd, u_odd)
     moments = np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2
     fi, ii = _kept_pairs(moments, floor)
     return np.abs(e_odd[fi] - e_even[ii]), moments[fi, ii]
@@ -449,7 +493,10 @@ def exact_transitions(
     emitted; the pairs inside a block have a zero moment, so even a floor
     of 0 returns none of them. A tilted field is found to mix the blocks
     after O(n) work. A split spectrum with near-degenerate levels is solved
-    in full instead, so the floor sees the same moments as before.
+    in full instead, so the floor sees the same moments as before. Inside a
+    block, the eigenvectors of close levels get one refinement step
+    (``_sharpen``), so the block moments do not inherit ``eigh``'s mixing of
+    those levels.
 
     Raises ``ValueError`` when ``intensity_floor`` is not a number in
     [0, 1] (NaN included) or ``system`` does not match ``h``'s layout.

@@ -408,6 +408,13 @@ _C_PRINCIPAL_SITE = st.tuples(
     sign=st.sampled_from([1.0, -1.0]),
     terms=st.sampled_from([("ezi", "hfi"), ("ezi", "hfi", "nzi"), ("ezi", "hfi", "nzi", "nqi")]),
 )
+# Two equal 11B sites: level pairs 2e-7 MHz apart inside each block, which an
+# unrefined block eigh mixed by 5e-7 in intensity (the allowance is 5.1e-7).
+@example(
+    kinds=[("11B", (0.0, 19.75, 0.1875), 1.552700896361322, 2, (0.0, 0.0)),
+           ("11B", (0.0, 19.75, 0.1875), 0.1875, 2, (0.0, 0.0))],
+    magnitude=300.0, sign=-1.0, terms=("ezi", "hfi"),
+)
 def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, sign, terms):
     sites = []
     for symbol, couplings, azimuth, roll, (v1, v2) in kinds:
