@@ -22,7 +22,6 @@ import math
 import os
 import shutil
 import sys
-import warnings
 
 import numpy as np
 
@@ -266,11 +265,7 @@ def _peak_stats(args, method: str, parts, solve):
         stats = perturb_stats(parts, _field(args), order, mode, args.window, args.shift_mhz)
         if stats is not None:
             return stats, None
-        with warnings.catch_warnings():     # perturb_stats has warned for these systems
-            warnings.simplefilter("ignore", UserWarning)
-            lines = solve()
-    else:
-        lines = solve()
+    lines = solve()
     if args.shift_mhz:
         lines = shift(lines, args.shift_mhz)
     return peak_stats(lines, args.window), lines
@@ -319,7 +314,7 @@ def cmd_odmr(args) -> int:
     parts, solve = _run_pipeline(args, system)
     exports = args.out_lines or args.out_spectrum       # they need the lines themselves
     stats, lines = _peak_stats(args, args.method, None if exports else parts, solve)
-    meta = _export_meta(args)
+    meta = _export_meta(args) if exports or args.fmt == "csv" else None
     values = {
         "center_MHz": stats.center,
         "sigma_MHz": stats.sigma,

@@ -4,11 +4,14 @@ Enumeration is count-level: sites inside a symmetry group are physically
 equivalent, so only how many of each isotope occupy the group matters and
 the multinomial factor absorbs the collapsed site assignments. Hyperfine
 tensors scale linearly with the nuclear g-factor when one isotope replaces
-another of the same element.
+another of the same element. ``apply_pattern`` keeps each system it makes,
+keyed by the source system object and the pattern's counts, until the
+source system is garbage-collected.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -115,13 +118,24 @@ def rescale_hyperfine(a, from_isotope, to_isotope):
         return np.asarray(a, dtype=float) * (dst.g_n / src.g_n)
 
 
+# Keyed by the system object, then by the pattern's counts, which alone
+# decide the result; an entry goes with its system.
+_APPLIED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
     """Concrete spin system for one pattern.
 
     Within each group, sites are reassigned in declared order: the first
     ``count`` sites take the first listed isotope and so on. With
-    equivalent sites any ordering gives the same line statistics.
+    equivalent sites any ordering gives the same line statistics. The
+    system is frozen and shared: equal counts on the same system give the
+    same object.
     """
+    applied = _APPLIED.setdefault(system, {})
+    concrete = applied.get(pattern.counts)
+    if concrete is not None:
+        return concrete
     # Keyed like enumerate_patterns' groups: sites of another element that
     # share a group id (or all carry the default "") keep their isotopes.
     assignment: dict[tuple[str, str], list[str]] = {}
@@ -149,7 +163,8 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
                 iso = new_iso
         new_sites.append((site, iso))
     label = f"{system.label}[{pattern.describe()}]"
-    return SpinSystem(label, tuple(new_sites), system.g_tensor)
+    concrete = applied[pattern.counts] = SpinSystem(label, tuple(new_sites), system.g_tensor)
+    return concrete
 
 
 def composite_lines(

@@ -28,7 +28,9 @@ What no field changes is computed once and kept. A system's site arrays
 (spins, multiplicities, ||A||_2, the projection grid, each mode's crystal
 frame tensors and their squared Frobenius norms) are built by its first
 perturbative solve and kept, keyed by the system object, until the system is
-garbage-collected; a site subset takes rows of them. The class probabilities
+garbage-collected; a site subset takes rows of them. ``build_system`` and
+``apply_pattern`` share their systems across calls, so one set of arrays
+serves every call on the same defect and pattern. The class probabilities
 of a group structure, keyed by its (group size, projections) pairs, are kept
 for the 8 most recent structures of at most 2**14 classes. Every array a
 solver returns is fresh, so a caller may modify it.
@@ -178,7 +180,7 @@ def _site_arrays(system: SpinSystem) -> _SiteArrays:
     return arrays
 
 
-def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
+def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None, held=None):
     """Checked set-up shared by every perturbative solver.
 
     Validates ``order``, ``mode`` and the field (``ValueError`` unless it is a
@@ -186,7 +188,8 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
     splitting, warns for each site in ``sites`` (default: all) whose
     coupling is not small against nu_e, and returns nu_e (MHz) with the
     per-projection shift table of each site in ``sites``, m descending.
-    Only the field-dependent terms are computed here.
+    Only the field-dependent terms are computed here. Given a list ``held``,
+    the warnings' messages are appended to it instead, for the caller to warn.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -205,11 +208,12 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
         spins, norms, tensors, frob2 = spins[rows], norms[rows], tensors[rows], frob2[rows]
         m, m2, transverse = m[rows], m2[rows], transverse[rows]
     for k in np.flatnonzero((spins > 0.0) & (norms >= nu_e)):
-        warnings.warn(
-            f"site {index[k]}: ||A|| = {norms[k]:.1f} MHz is not small against "
-            f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable",
-            stacklevel=3,
-        )
+        message = (f"site {index[k]}: ||A|| = {norms[k]:.1f} MHz is not small against "
+                   f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable")
+        if held is None:
+            warnings.warn(message, stacklevel=3)
+        else:
+            held.append(message)
     a_vec = axis @ tensors                                  # A^T n per site
     # K = |a| as a batched dot product, which rounds as np.linalg.norm does.
     coupling = np.sqrt((a_vec[:, None, :] @ a_vec[:, :, None]).ravel())

@@ -129,18 +129,21 @@ def perturb_stats(parts, field, order: int = 2, mode: str = MODE_FULL,
     ``perturb_lines``, a composite's applied patterns for ``composite_lines``.
     Sites are independent, so a part's mean is nu_e + ``shift`` + sum_k
     mean(t_k) and its variance sum_k var(t_k) over the tables t_k of
-    ``_shift_tables``, which checks and warns as the solvers do (Van Vleck's
-    method of moments, Phys. Rev. 74, 1168 (1948)); a mixture adds the spread
-    of its part means. These are the lines' moments only while the window
-    cuts none: ``None`` unless each part's extremes, nu_e + shift + sum_k
-    min t_k or max t_k, lie over (sites + 1) * ``_SHIFT_TOLERANCE`` inside it
+    ``_shift_tables``, which checks as the solvers do (Van Vleck's method of
+    moments, Phys. Rev. 74, 1168 (1948)); a mixture adds the spread of its
+    part means. These are the lines' moments only while the window cuts
+    none: ``None`` unless each part's extremes, nu_e + shift + sum_k min t_k
+    or max t_k, lie over (sites + 1) * ``_SHIFT_TOLERANCE`` inside it
     (grouping equal tables moves no line past them) and a probability is > 0.
+    The solvers' strong-coupling warnings are given only with statistics:
+    after ``None`` the caller's own solve gives them.
     """
     lo, hi = float(window[0]), float(window[1])
     moments = []
     inside = True
+    held = []
     for system, probability in parts:
-        nu_e, tables = _shift_tables(system, field, order, mode)
+        nu_e, tables = _shift_tables(system, field, order, mode, held=held)
         tables = [t.tolist() for t in tables]       # at most 2I + 1 values each
         margin = (len(tables) + 1) * _SHIFT_TOLERANCE
         base = nu_e + shift
@@ -152,6 +155,8 @@ def perturb_stats(parts, field, order: int = 2, mode: str = MODE_FULL,
     total = sum(p for p, _, _ in moments)
     if not (inside and total > 0):
         return None
+    for message in held:
+        warnings.warn(message, stacklevel=2)
     center = sum(p * mean for p, mean, _ in moments) / total
     sigma = math.sqrt(sum(p * (var + (mean - center) ** 2) for p, mean, var in moments) / total)
     return PeakStats(center, sigma, GAUSSIAN_FWHM_FACTOR * sigma, (lo, hi), 1.0)

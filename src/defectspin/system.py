@@ -26,6 +26,12 @@ The optional EFG tensors are stored directly in crystal-frame components
 ``[Vxx, Vyy, Vzz, Vxy, Vxz, Vyz]`` in V/A^2. The bundled first-shell EFGs
 are representative axial tensors, not first-principles values; they keep
 all quadrupole matrix elements below 1 MHz.
+
+What no call changes is kept. A defect dataset is parsed once per file
+content (the 8 most recent), for its records and its version. The system
+``build_system`` makes is kept per record object and overrides (the 32 most
+recent) and shared by every call that asks for it: it is frozen, and an
+edited file gives new records, so a kept system never goes stale.
 """
 
 from __future__ import annotations
@@ -359,7 +365,7 @@ def dataset_version(path: str | None = None) -> str:
         text = read_text(path, "dataset")
     except DatasetError:
         return "unversioned"
-    doc = _parse_json(text, path)
+    doc = _dataset_document(path, text)
     if not isinstance(doc, dict):
         return "unversioned"
     return str(doc.get("version", "unversioned"))
@@ -385,9 +391,16 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
 # Keyed by content, not mtime: a file rewritten within one mtime tick to the
 # same size must not be served stale. Errors are raised, never cached.
 @functools.lru_cache(maxsize=8)
+def _dataset_document(path: str, text: str):
+    """The defect dataset ``text`` read from ``path``, parsed once per content
+    for its records and its version; no caller modifies it."""
+    return _parse_json(text, path)
+
+
+@functools.lru_cache(maxsize=8)
 def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
     """The records of the defect dataset ``text`` read from ``path``."""
-    doc = _parse_json(text, path)
+    doc = _dataset_document(path, text)
     raw_defects = doc.get("defects", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw_defects, list):
         raise DatasetError(f"{path}: expected a list of defect records")
@@ -439,9 +452,18 @@ def build_system(
 
     By default every element gets its most abundant isotope (11B, 14N,
     12C). ``isotope_overrides`` maps element symbols to isotope symbols,
-    e.g. ``{"C": "13C"}`` to study the carbon-13 defect.
+    e.g. ``{"C": "13C"}`` to study the carbon-13 defect. The system is
+    frozen and shared: the same record with equal overrides gives the same
+    object.
     """
-    overrides = isotope_overrides or {}
+    return _system(record, frozenset((isotope_overrides or {}).items()))
+
+
+# Keyed by the record object (records are compared by identity) and the
+# overrides; a bad override raises on every call, since errors are not cached.
+@functools.lru_cache(maxsize=32)
+def _system(record: DefectRecord, overrides: frozenset) -> SpinSystem:
+    overrides = dict(overrides)
     pairs = []
     for site in record.sites:
         if site.element in overrides:

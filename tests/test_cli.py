@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -340,6 +342,25 @@ def test_rescale_overflow_prints_only_the_error_line(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "defectspin: error: principal values must be finite\n"
+
+
+def test_warnings_print_once_across_main_calls_in_one_process():
+    # ctl warns twice ("missing charge"); the odmr between them takes the
+    # line-list fallback, since its window cuts a line. No call may reset the
+    # warning registries, so the second ctl prints nothing new.
+    script = (
+        "from defectspin.cli import main\n"
+        "for argv in (['ctl'], ['odmr', '--defect', 'CN0', '--window', '100,inf'], ['ctl']):\n"
+        "    assert main(argv) == 0\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(defectspin.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    shown = [ln for ln in done.stderr.splitlines() if "UserWarning" in ln]
+    assert len(shown) == 2 and all("missing charge" in ln for ln in shown)
+    assert len(set(shown)) == 2
 
 
 @pytest.mark.parametrize(
@@ -785,6 +806,44 @@ def test_readme_examples_match_cli(capsys):
         code, out, _ = _run(capsys, argv)
         assert code == 0
         assert [ln.rstrip() for ln in out.splitlines()] == expected
+
+
+def test_readme_commands_replay_alike_in_either_order(capsys, tmp_path):
+    # One process, every call after the first served from the caches the
+    # earlier calls filled: forward, then reversed, every result must agree.
+    out = str(tmp_path / "out")
+    cases = [argv for argv, _ in _readme_sessions()] + [
+        ["odmr", "--defect", "CB0", "--format", "csv"],
+        ["odmr", "--defect", "CB0", "--carbon13"],
+        ["odmr", "--defect", "CN0", "--isotopes", "natural", "--B", "60"],
+        ["odmr", "--defect", "CN0", "--isotopes", "explicit", "--pattern", "11B:2,10B:1"],
+        ["odmr", "--defect", "CN0", "--window", "100,inf", "--method", "perturb1"],
+        ["odmr", "--defect", "CB0", "--isotopes", "natural", "--out-lines", f"{out}/l.txt"],
+        ["odmr", "--defect", "CB0", "--method", "hybrid"],
+        ["odmr", "--defect", "CN0", "--B", "50", "--out-spectrum", f"{out}/s.txt",
+         "--out-lines", f"{out}/l.txt"],
+        ["isotopes", "--defect", "CB0", "--format", "csv"],
+        ["isotopes", "--defect", "CN0", "--pattern", "11B:1,10B:2"],
+        ["compare-methods", "--defect", "CN0", "--B", "175"],
+        ["ctl", "--diagram", f"{out}/levels.txt"],
+        ["binding"],
+        ["odmr", "--defect", "CX9"],
+    ]
+
+    def replay(order):
+        results = {}
+        for k in order:
+            shutil.rmtree(out, ignore_errors=True)
+            os.makedirs(out)
+            code = main(cases[k])
+            files = {name: hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                     for name in sorted(os.listdir(out))}
+            results[k] = (code, capsys.readouterr().out, files)
+        return results
+
+    forward = replay(range(len(cases)))
+    assert [forward[k][0] for k in range(len(cases))] == [0] * (len(cases) - 1) + [1]
+    assert replay(reversed(range(len(cases)))) == forward
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import inspect
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -173,6 +175,28 @@ def test_apply_pattern_rejects_counts_not_matching_group_size(counts, total):
     pattern = IsotopePattern((("B-shell1", counts),), 1.0)
     with pytest.raises(ValueError, match=f"group B-shell1 sum to {total}, but it has 3 B"):
         apply_pattern(_load("CN0"), pattern)
+
+
+def test_apply_pattern_shares_one_system_per_counts_and_frees_it_with_its_system():
+    site = NuclearSite("B", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), group_id="g")
+    system = SpinSystem("t", ((site, lookup("11B")), (site, lookup("11B"))))
+    pattern = enumerate_patterns(system)[1]
+    concrete = apply_pattern(system, pattern)
+    assert apply_pattern(system, enumerate_patterns(system)[1]) is concrete
+    assert apply_pattern(system, dataclasses.replace(pattern, probability=1.0)) is concrete
+    assert apply_pattern(system, enumerate_patterns(system)[2]) is not concrete
+    freed = weakref.ref(concrete)
+    del concrete, system
+    gc.collect()
+    assert freed() is None
+
+
+def test_bad_pattern_raises_on_every_call():
+    pattern = IsotopePattern((("B-shell1", (("11B", 1), ("10B", 1))),), 1.0)
+    system = _load("CN0")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="group B-shell1 sum to 2"):
+            apply_pattern(system, pattern)
 
 
 def test_composite_lines_weights_carry_probability():

@@ -243,6 +243,64 @@ def test_build_system_isotope_override():
     assert [iso.symbol for iso in carbon] == ["13C"]
 
 
+def test_build_system_shares_one_system_per_record_and_overrides():
+    record = find_defect(load_defect_dataset(), "CB0")
+    plain = build_system(record)
+    assert build_system(record) is plain
+    assert build_system(record, {}) is plain
+    carbon13 = build_system(record, {"C": "13C", "B": "11B"})
+    assert carbon13 is not plain
+    assert build_system(record, {"B": "11B", "C": "13C"}) is carbon13
+    assert build_system(find_defect(load_defect_dataset(), "CB0"), {"C": "13C"}) is not plain
+
+
+@pytest.mark.parametrize(
+    "overrides, error",
+    [({"C": "99C"}, KeyError), ({"C": "15N"}, ValueError), ({"C": ["13C"]}, TypeError)],
+    ids=["unknown", "other-element", "unhashable"],
+)
+def test_bad_override_raises_on_every_call(overrides, error):
+    record = find_defect(load_defect_dataset(), "CB0")
+    for _ in range(2):
+        with pytest.raises(error):
+            build_system(record, overrides)
+
+
+def test_rewritten_dataset_gives_new_records_and_a_new_system(tmp_path):
+    path = tmp_path / "defects.json"
+    _one_defect(path, 1.0)
+    first = build_system(load_defect_dataset(str(path))[0])
+    assert build_system(load_defect_dataset(str(path))[0]) is first
+    _one_defect(path, 7.0)
+    second = build_system(load_defect_dataset(str(path))[0])
+    assert second is not first
+    assert second.sites[0][0].principal_values[0] == 7.0
+
+
+def test_dataset_version_follows_a_rewritten_file(tmp_path):
+    path = tmp_path / "defects.json"
+    for version in ("5.1", "5.2", "5.1"):
+        path.write_text(json.dumps({"version": version, "defects": []}))
+        assert dataset_version(str(path)) == version
+    # Valid JSON with a broken record: the records fail, the version does not.
+    path.write_text(json.dumps({"version": "5.3", "defects": [{"sites": []}]}))
+    assert dataset_version(str(path)) == "5.3"
+    with pytest.raises(DatasetError, match="missing mandatory field 'label'"):
+        load_defect_dataset(str(path))
+
+
+def test_dataset_is_parsed_once_for_its_records_and_version(tmp_path, monkeypatch):
+    path = tmp_path / "defects.json"
+    _one_defect(path, 3.0)
+    parses = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: parses.append(text) or loads(text))
+    for _ in range(2):
+        assert [r.label for r in load_defect_dataset(str(path))] == ["X0"]
+        assert dataset_version(str(path)) == "1"
+    assert len(parses) == 1
+
+
 def test_find_defect_case_insensitive():
     records = load_defect_dataset()
     assert find_defect(records, "cb0").label == "CB0"
