@@ -15,7 +15,6 @@ failure, 3 dataset error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -37,6 +36,7 @@ from .hamiltonian import DimensionError, build_hamiltonian
 from .isotopes import isotopes_of, lookup
 from .isotopologues import (
     IsotopePattern,
+    _groups,
     apply_pattern,
     composite_lines,
     enumerate_patterns,
@@ -199,20 +199,17 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
     if len(elements) != 1:
         raise UsageError("explicit patterns cover exactly one element")
     element = elements.pop()
-    patterns = enumerate_patterns(system, (element,))
-    groups = patterns[0].counts
+    groups = _groups(system, (element,))
     if len(groups) != 1:
         raise UsageError(
             f"{element} occupies {len(groups)} site groups; explicit patterns "
             "need exactly one"
         )
-    (gid, group), = groups
-    size = sum(count for _, count in group)
-    if sum(counts.values()) != size:
-        raise UsageError(f"pattern counts must sum to the group size {size}")
-    wanted = ((gid, tuple((symbol, counts.get(symbol, 0)) for symbol, _ in group)),)
-    pattern = next(p for p in patterns if p.counts == wanted)
-    return dataclasses.replace(pattern, probability=1.0)
+    ((gid, _), sites), = groups.items()
+    if sum(counts.values()) != len(sites):
+        raise UsageError(f"pattern counts must sum to the group size {len(sites)}")
+    group = tuple((iso.symbol, counts.get(iso.symbol, 0)) for iso in isotopes_of(element))
+    return IsotopePattern(((gid, group),), 1.0)
 
 
 def _solve(args, system: SpinSystem, method: str, subset_terms=()) -> LineList:

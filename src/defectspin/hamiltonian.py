@@ -235,12 +235,11 @@ def build_hamiltonian(
     system: SpinSystem,
     field,
     terms=DEFAULT_TERMS,
-    dimension_cap: int = DIMENSION_CAP,
 ) -> HamiltonianMatrix:
     """Assemble the requested terms for ``system`` at field ``field`` (Gauss).
 
     Raises ``DimensionError`` when the Hilbert space exceeds
-    ``dimension_cap`` (use the hybrid solver for such systems) and
+    ``DIMENSION_CAP`` (use the hybrid solver for such systems) and
     ``ValueError`` for a field that is not a finite 3-vector or when NQI is
     requested for a quadrupolar site without an EFG tensor.
     """
@@ -248,9 +247,9 @@ def build_hamiltonian(
     b = _checked_field(field)
     dims = (2,) + system.site_dimensions()
     n = system.dimension
-    if n > dimension_cap:
+    if n > DIMENSION_CAP:
         raise DimensionError(
-            f"dimension {n} exceeds cap {dimension_cap}; "
+            f"dimension {n} exceeds cap {DIMENSION_CAP}; "
             "diagonalize a first-shell subsystem with hybrid_solve instead"
         )
     electron = spin_operators(0.5)

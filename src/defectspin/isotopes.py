@@ -5,7 +5,8 @@ field is in Gauss, so the only constants that matter are the electron Zeeman
 prefactor mu_B/h and the nuclear data per isotope. Gyromagnetic ratios are
 stored directly as gamma/2pi in Hz/Gauss; the dimensionless g_n factors are
 carried alongside and checked against gamma at import time so the two
-parameterizations cannot drift apart.
+parameterizations cannot drift apart. Each element's isotope list, most
+abundant first, is built once at import.
 """
 
 from __future__ import annotations
@@ -96,6 +97,11 @@ _REGISTRY = {
     )
 }
 
+# Each element's isotopes, most abundant first (ties keep their registry order).
+_BY_ELEMENT: dict[str, list[Isotope]] = {}
+for _iso in sorted(_REGISTRY.values(), key=lambda i: -i.abundance):
+    _BY_ELEMENT.setdefault(_iso.element, []).append(_iso)
+
 
 def _check_registry():
     # gamma/2pi and g_n are two spellings of the same physics; a transcription
@@ -109,8 +115,8 @@ def _check_registry():
                 f"{iso.symbol}: gamma/2pi {iso.gamma_over_2pi} Hz/G inconsistent "
                 f"with g_n {iso.g_n} (implies {implied:.2f} Hz/G)"
             )
-    for element in {iso.element for iso in _REGISTRY.values()}:
-        total = sum(i.abundance for i in _REGISTRY.values() if i.element == element)
+    for element, isotopes in _BY_ELEMENT.items():
+        total = sum(i.abundance for i in isotopes)
         if total > 1.0 + 1e-9:
             raise AssertionError(f"abundances for {element} sum to {total}")
 
@@ -132,11 +138,11 @@ def lookup(symbol: str) -> Isotope:
 
 
 def isotopes_of(element: str) -> list[Isotope]:
-    """Isotopes of one element, most abundant first."""
-    found = [i for i in _REGISTRY.values() if i.element == element]
-    if not found:
-        raise KeyError(f"no isotopes registered for element {element!r}")
-    return sorted(found, key=lambda i: -i.abundance)
+    """Isotopes of one element, most abundant first, as a new list."""
+    try:
+        return list(_BY_ELEMENT[element])
+    except KeyError:
+        raise KeyError(f"no isotopes registered for element {element!r}") from None
 
 
 def default_isotope(element: str) -> Isotope:

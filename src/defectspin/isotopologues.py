@@ -11,8 +11,8 @@ source system is garbage-collected.
 
 from __future__ import annotations
 
+import math
 import weakref
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,19 +44,24 @@ class IsotopePattern:
         )
 
     def describe(self) -> str:
-        parts = []
-        for _, group in self.counts:
-            for symbol, count in group:
-                if count:
-                    parts.append(f"{count}x{symbol}")
-        return "+".join(parts) if parts else "reference"
+        parts = [f"{c}x{symbol}" for _, group in self.counts for symbol, c in group if c]
+        return "+".join(parts) or "reference"
 
 
 def _group_probability(counts, abundances) -> float:
-    p = float(_multinomial(counts))
-    for c, a in zip(counts, abundances):
-        p *= a**c
-    return p
+    return math.prod((a**c for c, a in zip(counts, abundances)),
+                     start=float(_multinomial(counts)))
+
+
+def _groups(system: SpinSystem, elements) -> dict[tuple[str, str], list[int]]:
+    """(group id, element) -> indices of that group's sites, in site order,
+    for the sites of ``elements``. Sites of another element that share a
+    group id (or all carry the default "") form groups of their own."""
+    groups: dict[tuple[str, str], list[int]] = {}
+    for k, (site, _) in enumerate(system.sites):
+        if site.element in elements:
+            groups.setdefault((site.group_id, site.element), []).append(k)
+    return groups
 
 
 def enumerate_patterns(
@@ -71,21 +76,15 @@ def enumerate_patterns(
     variable = tuple(variable_elements)
     for element in variable:
         isotopes_of(element)                       # raises if unknown
-    sizes: dict[tuple[str, str], int] = {}        # (group_id, element) -> size
-    for site, _ in system.sites:
-        if site.element in variable:
-            key = (site.group_id, site.element)
-            sizes[key] = sizes.get(key, 0) + 1
-
     patterns = [IsotopePattern(counts=(), probability=1.0)]
-    for (gid, element), size in sizes.items():
+    for (gid, element), sites in _groups(system, variable).items():
         isos = isotopes_of(element)
         options = [
             (
                 tuple((iso.symbol, c) for iso, c in zip(isos, counts)),
                 _group_probability(counts, [i.abundance for i in isos]),
             )
-            for counts in _compositions(size, len(isos))
+            for counts in _compositions(len(sites), len(isos))
         ]
         patterns = [
             IsotopePattern(
@@ -136,32 +135,22 @@ def apply_pattern(system: SpinSystem, pattern: IsotopePattern) -> SpinSystem:
     concrete = applied.get(pattern.counts)
     if concrete is not None:
         return concrete
-    # Keyed like enumerate_patterns' groups: sites of another element that
-    # share a group id (or all carry the default "") keep their isotopes.
-    assignment: dict[tuple[str, str], list[str]] = {}
+    new_sites = list(system.sites)
     for gid, counts in pattern.counts:
         element = lookup(counts[0][0]).element
-        assignment[(gid, element)] = [s for s, count in counts for _ in range(count)]
-    sizes = Counter((site.group_id, site.element) for site, _ in system.sites)
-    for (gid, element), symbols in assignment.items():
-        if len(symbols) != sizes[gid, element]:
+        indices = _groups(system, (element,)).get((gid, element), [])
+        symbols = [s for s, count in counts for _ in range(count)]
+        if len(symbols) != len(indices):
             raise ValueError(
                 f"pattern counts for group {gid} sum to {len(symbols)}, "
-                f"but it has {sizes[gid, element]} {element} sites"
+                f"but it has {len(indices)} {element} sites"
             )
-    pending = {key: iter(symbols) for key, symbols in assignment.items()}
-    new_sites = []
-    for site, iso in system.sites:
-        key = (site.group_id, site.element)
-        if key in pending:
-            symbol = next(pending[key])
+        for k, symbol in zip(indices, symbols):
+            site, iso = system.sites[k]
             if symbol != iso.symbol:
                 new_iso = lookup(symbol)
-                site = site._with_principal_values(
-                    rescale_hyperfine(site.principal_values, iso, new_iso)
-                )
-                iso = new_iso
-        new_sites.append((site, iso))
+                values = rescale_hyperfine(site.principal_values, iso, new_iso)
+                new_sites[k] = (site._with_principal_values(values), new_iso)
     label = f"{system.label}[{pattern.describe()}]"
     concrete = applied[pattern.counts] = SpinSystem(label, tuple(new_sites), system.g_tensor)
     return concrete

@@ -64,7 +64,7 @@ ENUMERATION_THRESHOLD = 10**6   # configurations before sampling; classes before
 _SHIFT_TOLERANCE = 1e-9
 # A split spectrum with a gap at most this times max |E| is solved in full:
 # inside a degenerate eigenspace the eigensolver's basis decides which weak
-# lines pass INTENSITY_FLOOR. Goes when ROADMAP item 4 sums the moments over
+# lines pass INTENSITY_FLOOR. Goes when ROADMAP item 7 sums the moments over
 # degenerate clusters.
 _DEGENERACY_TOLERANCE = 1e-11
 # Block eigenvectors of levels at most this times max |E| apart are refined
@@ -250,10 +250,7 @@ def _compositions(total: int, bins: int):
 
 def _multinomial(counts) -> int:
     """Ways to deal sum(counts) distinct sites into bins of these sizes."""
-    coef = math.factorial(sum(counts))
-    for c in counts:
-        coef //= math.factorial(c)
-    return coef
+    return math.factorial(sum(counts)) // math.prod(map(math.factorial, counts))
 
 
 @lru_cache(maxsize=128)          # (group size, projections) pairs
@@ -483,7 +480,7 @@ def exact_transitions(
     """Diagonalize and emit all upward transitions driven by S_x.
 
     Intensity is |<f| S_x |i>|^2 with S_x the electron's lab-frame x
-    component, whatever the field direction (ROADMAP item 4 discusses
+    component, whatever the field direction (ROADMAP item 7 discusses
     driving perpendicular to the field instead); lines weaker than
     ``intensity_floor`` relative to the strongest are dropped. The electron
     is the first factor, so S_x = sigma_x/2 (x) 1 couples the upper and
@@ -525,10 +522,6 @@ def exact_transitions(
     )
 
 
-def _normalize_selection(system: SpinSystem, indices) -> tuple[int, ...]:
-    return tuple(sorted(system._checked_indices(int(i) for i in indices)))
-
-
 def shell_indices(system: SpinSystem, max_distance: float = 1.0) -> tuple[int, ...]:
     """Indices of spin-carrying sites within ``max_distance`` of the defect."""
     return tuple(
@@ -559,13 +552,13 @@ def hybrid_solve(
     Raises ``DimensionError`` when the exact subsystem is larger than
     ``DIMENSION_CAP``, and ``ValueError`` past ``ENUMERATION_THRESHOLD`` classes.
     """
-    selection = _normalize_selection(system, exact_sites)
+    selection = tuple(sorted(int(i) for i in exact_sites))
+    subsystem = system.subsystem(selection, label_suffix=":exact-subset")
     mask = normalize_terms(subset_terms) | {"ezi"}
     if not selection:
         return perturb_lines(system, field, order=order, mode=mode)
     rest = [i for i in range(len(system.sites)) if i not in selection]
     _, tables = _shift_tables(system, field, order, mode, rest)
-    subsystem = system.subsystem(selection, label_suffix=":exact-subset")
     try:
         h = build_hamiltonian(subsystem, field, terms=mask)
     except DimensionError as exc:

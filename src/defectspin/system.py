@@ -49,6 +49,9 @@ from .isotopes import Isotope, default_isotope, isotopes_of, lookup
 
 ENV_DATA_DIR = "DEFECTSPIN_DATA"
 
+# The types of a JSON number: a bool is an int to Python, but not a number to JSON.
+_NUMBER = (int, float)
+
 # Ideal-lattice distance of each neighbor shell, in units of the B-N bond.
 _SHELL_DISTANCE = {0: 0.0, 1: 1.0, 2: math.sqrt(3.0)}
 
@@ -174,21 +177,17 @@ class SpinSystem:
         Raises ``ValueError`` naming the first index that is negative, past
         the last site or given twice.
         """
-        # The g tensor, checked and read-only, is shared rather than checked again.
-        sub = copy.copy(self)
-        object.__setattr__(sub, "label", self.label + label_suffix)
-        object.__setattr__(sub, "sites", tuple(self.sites[i] for i in self._checked_indices(indices)))
-        return sub
-
-    def _checked_indices(self, indices) -> tuple[int, ...]:
-        """``indices`` in order, each a distinct index of ``sites``."""
         picked = tuple(indices)
         for k, i in enumerate(picked):
             if not 0 <= i < len(self.sites):
                 raise ValueError(f"site index {i} out of range for {len(self.sites)} sites")
             if i in picked[:k]:
                 raise ValueError(f"site index {i} is a duplicate")
-        return picked
+        # The g tensor, checked and read-only, is shared rather than checked again.
+        sub = copy.copy(self)
+        object.__setattr__(sub, "label", self.label + label_suffix)
+        object.__setattr__(sub, "sites", tuple(self.sites[i] for i in picked))
+        return sub
 
     def to_dict(self) -> dict:
         return {
@@ -292,31 +291,43 @@ def expand_shell(entry: ShellEntry) -> list[NuclearSite]:
     return sites
 
 
+def _check_types(where: str, checks):
+    """Raise ``DatasetError`` at the first ``(name, ok, kind)`` that is not ok."""
+    for name, ok, kind in checks:
+        if not ok:
+            raise DatasetError(f"{where}: {name!r} must be {kind}")
+
+
 def _parse_shell(raw: dict, where: str) -> ShellEntry:
     for key in ("element", "count", "shell", "Axx", "Ayy", "Azz"):
         if key not in raw:
             raise DatasetError(f"{where}: missing mandatory field {key!r}")
-    element = raw["element"]
+    element, count, shell = raw["element"], raw["count"], raw["shell"]
+    core, comp = raw.get("core_contribution"), raw.get("efg")
+    _check_types(where, (
+        ("element", isinstance(element, str), "a string"),
+        ("count", type(count) is int and count >= 1, "a positive integer"),
+        ("shell", type(shell) is int, "an integer"),
+        *((key, type(raw[key]) in _NUMBER, "a number") for key in ("Axx", "Ayy", "Azz")),
+        ("core_contribution", core is None or type(core) in _NUMBER, "a number or null"),
+        ("efg", comp is None or (isinstance(comp, list) and len(comp) == 6
+                                 and all(type(c) in _NUMBER for c in comp)),
+         "6 numbers or null"),
+    ))
     try:
         isotopes_of(element)
     except KeyError:
         raise DatasetError(f"{where}: unknown element {element!r}") from None
-    count = raw["count"]
-    if not isinstance(count, int) or count < 1:
-        raise DatasetError(f"{where}: count must be a positive integer")
     efg = None
-    if raw.get("efg") is not None:
-        comp = raw["efg"]
-        if len(comp) != 6:
-            raise DatasetError(f"{where}: efg needs 6 components")
+    if comp is not None:
         xx, yy, zz, xy, xz, yz = (float(c) for c in comp)
         efg = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
     return ShellEntry(
         element=element,
         count=count,
-        shell=int(raw["shell"]),
+        shell=shell,
         principal_values=(float(raw["Axx"]), float(raw["Ayy"]), float(raw["Azz"])),
-        core_contribution=raw.get("core_contribution"),
+        core_contribution=core,
         efg=efg,
     )
 
@@ -407,20 +418,20 @@ def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
     records = []
     for i, raw in enumerate(raw_defects):
         where = f"{path}: defect #{i}"
+        if not isinstance(raw, dict):
+            raise DatasetError(f"{where}: expected a defect object")
         if "label" not in raw:
             raise DatasetError(f"{where}: missing mandatory field 'label'")
         label, zpl, notes = raw["label"], raw.get("zpl_eV"), raw.get("notes", "")
-        # A bool is an int to Python, but not a number to JSON.
-        for name, ok, kind in (
+        entries = raw.get("sites", [])
+        _check_types(where, (
             ("label", isinstance(label, str), "a string"),
-            ("zpl_eV", zpl is None or type(zpl) in (int, float), "a number or null"),
+            ("zpl_eV", zpl is None or type(zpl) in _NUMBER, "a number or null"),
             ("notes", isinstance(notes, str), "a string"),
-        ):
-            if not ok:
-                raise DatasetError(f"{where}: {name!r} must be {kind}")
-        shells = tuple(
-            _parse_shell(s, f"{where} ({label})") for s in raw.get("sites", [])
-        )
+            ("sites", isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
+             "a list of objects"),
+        ))
+        shells = tuple(_parse_shell(e, f"{where} ({label})") for e in entries)
         sites = tuple(site for entry in shells for site in expand_shell(entry))
         records.append(
             DefectRecord(

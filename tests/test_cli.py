@@ -260,6 +260,49 @@ def test_defect_field_of_the_wrong_type_exits_three(
     assert err == f"defectspin: dataset error: {path}: defect #{index}: {message}\n"
 
 
+# (shell index or None for the defect itself, key or None for the whole
+# entry, value, message after "defect #i"); shell 1 of CB0 carries an EFG.
+@pytest.mark.parametrize(
+    "shell, key, value, message",
+    [
+        (None, None, 5, ": expected a defect object"),
+        (None, None, ["CB0"], ": expected a defect object"),
+        (None, "sites", 5, ": 'sites' must be a list of objects"),
+        (None, "sites", [5], ": 'sites' must be a list of objects"),
+        (1, "element", 7, " (CB0): 'element' must be a string"),
+        (1, "Axx", None, " (CB0): 'Axx' must be a number"),
+        (1, "Axx", "x", " (CB0): 'Axx' must be a number"),
+        (1, "Azz", True, " (CB0): 'Azz' must be a number"),
+        (1, "efg", 5, " (CB0): 'efg' must be 6 numbers or null"),
+        (1, "efg", [1, 2, 3], " (CB0): 'efg' must be 6 numbers or null"),
+        (1, "efg", [-15.0, -15.0, 30.0, 0.0, 0.0, "0"],
+         " (CB0): 'efg' must be 6 numbers or null"),
+        (1, "shell", 1.5, " (CB0): 'shell' must be an integer"),
+        (1, "shell", True, " (CB0): 'shell' must be an integer"),
+        (1, "count", True, " (CB0): 'count' must be a positive integer"),
+        (1, "count", 0, " (CB0): 'count' must be a positive integer"),
+        (1, "core_contribution", "x", " (CB0): 'core_contribution' must be a number or null"),
+    ],
+    ids=["int-defect", "list-defect", "int-sites", "int-shell", "int-element",
+         "null-Axx", "string-Axx", "bool-Azz", "int-efg", "short-efg", "string-efg",
+         "float-shell", "bool-shell", "bool-count", "zero-count", "string-core"],
+)
+def test_malformed_defect_entry_exits_three(capsys, tmp_path, shell, key, value, message):
+    doc = json.loads(Path(dataset_path("defects")).read_text())
+    index = next(i for i, r in enumerate(doc["defects"]) if r["label"] == "CB0")
+    if key is None:
+        doc["defects"][index] = value
+    elif shell is None:
+        doc["defects"][index][key] = value
+    else:
+        doc["defects"][index]["sites"][shell][key] = value
+    path = tmp_path / "defects.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["odmr", "--defect", "CN0", "--data", str(tmp_path)])
+    assert (code, out) == (3, "")
+    assert err == f"defectspin: dataset error: {path}: defect #{index}{message}\n"
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_bare_list_dataset_is_unversioned(capsys, tmp_path, fmt):
     doc = json.loads(Path(dataset_path("defects")).read_text())

@@ -276,14 +276,6 @@ def test_dimension_cap_enforced():
         build_hamiltonian(cb, FIELD)
 
 
-def test_dimension_cap_adjustable():
-    system = SpinSystem("t", ((_site("B", (1.0, 1.0, 2.0)), lookup("11B")),))
-    with pytest.raises(DimensionError):
-        build_hamiltonian(system, FIELD, dimension_cap=4)
-    h = build_hamiltonian(system, FIELD, dimension_cap=8)
-    assert h.dimension == 8
-
-
 def _kron_reference(system, field, terms):
     """Term-by-term assembly with dense identities, in the solver's term order."""
     dims = (2,) + system.site_dimensions()

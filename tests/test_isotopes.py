@@ -75,6 +75,19 @@ def test_isotopes_of_sorted_by_abundance():
     assert symbols == ["11B", "10B"]
 
 
+def test_isotopes_of_returns_a_new_list_each_call():
+    first = isotopes_of("N")
+    first.reverse()
+    first.append(lookup("11B"))
+    assert [iso.symbol for iso in isotopes_of("N")] == ["14N", "15N"]
+    assert default_isotope("N").symbol == "14N"
+
+
+def test_isotopes_of_unknown_element_raises():
+    with pytest.raises(KeyError, match="no isotopes registered for element 'F'"):
+        isotopes_of("F")
+
+
 def test_default_isotope_is_most_abundant():
     assert default_isotope("B").symbol == "11B"
     assert default_isotope("N").symbol == "14N"

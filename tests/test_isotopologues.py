@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import gc
 import inspect
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectspin.cli import _parse_pattern
 from defectspin.isotopes import lookup
 from defectspin.isotopologues import (
     IsotopePattern,
@@ -197,6 +199,68 @@ def test_bad_pattern_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="group B-shell1 sum to 2"):
             apply_pattern(system, pattern)
+
+
+def _reassigned_sites(system, pattern):
+    """The pattern's sites worked out site by site, without apply_pattern:
+    each (group, element) hands out its isotopes in declared order; None
+    when a site would rescale from a spinless isotope."""
+    pending = {}
+    for gid, counts in pattern.counts:
+        element = lookup(counts[0][0]).element
+        pending[gid, element] = [s for s, count in counts for _ in range(count)]
+    sites = []
+    for site, iso in system.sites:
+        symbols = pending.get((site.group_id, site.element))
+        new_iso = lookup(symbols.pop(0)) if symbols is not None else iso
+        if new_iso is iso:
+            sites.append((site.principal_values, iso))
+        elif iso.g_n == 0.0:
+            return None
+        else:
+            ratio = new_iso.g_n / iso.g_n
+            sites.append((tuple(v * ratio for v in site.principal_values), new_iso))
+    assert all(not symbols for symbols in pending.values())
+    return sites
+
+
+ISOTOPOLOGUE_CASES = pytest.mark.parametrize(
+    "label, carbon13, element",
+    [(label, c13, element) for label in ("CB0", "CN0") for c13 in (False, True)
+     for element in ("B", "N", "C")],
+)
+
+
+@ISOTOPOLOGUE_CASES
+def test_apply_pattern_matches_a_per_site_reassignment(label, carbon13, element):
+    system = _load(label, carbon13)
+    for pattern in enumerate_patterns(system, (element,)):
+        expected = _reassigned_sites(system, pattern)
+        if expected is None:
+            with pytest.raises(ValueError, match="carries no hyperfine coupling"):
+                apply_pattern(system, pattern)
+            continue
+        concrete = apply_pattern(system, pattern)
+        got = [(site.principal_values, iso) for site, iso in concrete.sites]
+        assert [iso.symbol for _, iso in got] == [iso.symbol for _, iso in expected]
+        for (values, _), (want, _) in zip(got, expected):
+            assert [v.hex() for v in values] == [float(w).hex() for w in want]
+        assert [s.group_id for s, _ in concrete.sites] == [
+            s.group_id for s, _ in system.sites]
+
+
+@ISOTOPOLOGUE_CASES
+def test_parse_pattern_rebuilds_each_pattern_with_probability_one(
+    label, carbon13, element
+):
+    system = _load(label, carbon13)
+    patterns = enumerate_patterns(system, (element,))
+    assert len(patterns[0].counts) == 1            # the element fills one group
+    for pattern in patterns:
+        (_, group), = pattern.counts
+        text = ",".join(f"{symbol}:{count}" for symbol, count in group)
+        parsed = _parse_pattern(argparse.Namespace(pattern=text), system)
+        assert parsed == IsotopePattern(pattern.counts, 1.0)
 
 
 def test_composite_lines_weights_carry_probability():
