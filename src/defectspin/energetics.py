@@ -44,6 +44,8 @@ class EnergyRecord:
             object.__setattr__(self, "correction", 0.0)
         elif self.correction is not None and self.correction < 0:
             raise ValueError(f"{self.label}: correction must be non-negative")
+        elif self.correction is not None and not math.isfinite(self.correction):
+            raise ValueError(f"{self.label}: correction must be finite")
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def _record_from_json(raw: dict, where: str) -> EnergyRecord:
         )
     except KeyError as exc:
         raise DatasetError(f"{where}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{where}: {exc}") from None
 
 

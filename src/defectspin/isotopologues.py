@@ -18,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .isotopes import isotopes_of, lookup
-from .solvers import (
-    LineList,
-    MODE_FULL,
-    _compositions,
-    _multinomial,
-    perturb_lines,
-)
+from .solvers import MODE_FULL, LineList, ShiftDistribution, _compositions, _multinomial
 from .system import SpinSystem
 
 GroupCounts = tuple[tuple[str, int], ...]       # ((isotope symbol, count), ...)
@@ -165,25 +159,18 @@ def composite_lines(
 ) -> LineList:
     """Abundance-weighted merge of per-pattern line lists.
 
-    Each pattern is solved by ``perturb_lines`` with ``order`` and ``mode``:
-    one line per count-level class, weighted by the class probability times
-    the pattern probability, concatenated in pattern order (not sorted). A
-    pattern past ``ENUMERATION_THRESHOLD`` classes raises ``ValueError``.
+    Each pattern's applied system is one part of a ``ShiftDistribution``
+    with ``order`` and ``mode``: one line per count-level class, weighted by
+    the class probability times the pattern probability, concatenated in
+    pattern order (not sorted). A pattern past ``ENUMERATION_THRESHOLD``
+    classes raises ``ValueError``.
     """
     patterns = list(patterns)
     total_p = sum(p.probability for p in patterns)
     if abs(total_p - 1.0) > 1e-9:
         raise ValueError(f"pattern probabilities sum to {total_p}, expected 1")
-    solved = [
-        perturb_lines(apply_pattern(system, p), field, order, mode) for p in patterns
-    ]
+    parts = ((apply_pattern(system, p), p.probability) for p in patterns)
     return LineList(
-        method="composite",
-        field=field,
-        frequencies=np.concatenate([s.frequencies for s in solved]),
-        intensities=np.concatenate([s.intensities for s in solved]),
-        weights=np.concatenate(
-            [s.weights * p.probability for s, p in zip(solved, patterns)]
-        ),
-        meta={"patterns_solved": len(solved), "order": order, "mode": mode},
+        "composite", field, *ShiftDistribution(parts, field, order, mode).lines(),
+        meta={"patterns_solved": len(patterns), "order": order, "mode": mode},
     )

@@ -6,6 +6,9 @@ probability of its class of nuclear configurations, or of its draw when
 sampled, times the isotopologue probability in a composite). Peak
 statistics come from the line list itself, or in closed form from the same
 shift tables (``spectrum.perturb_stats``), never from a rendered spectrum.
+One ``ShiftDistribution`` holds the shift tables under every perturbative
+path: the lines of ``perturb_lines``, ``hybrid_solve`` and ``composite_lines``,
+the draws of ``sample_configurations`` and the moments of ``perturb_stats``.
 
 The perturbative path treats each nucleus independently. With the
 electron quantized along n (the direction of g^T B), a site with crystal
@@ -22,7 +25,8 @@ shifts cancel at this order for electron-flip transitions and are left to
 the exact and hybrid paths. The tables of all requested sites are
 evaluated at once, on one projection grid padded to the largest 2I+1.
 A site warns when ||A||_2 >= nu_e; for a symmetric tensor in an
-orthonormal frame ||A||_2 is max |principal value|.
+orthonormal frame ||A||_2 is max |principal value|. The warning points at
+the public function's caller; the closed form gives it only with statistics.
 
 What no field changes is computed once and kept. A system's site arrays
 (spins, multiplicities, ||A||_2, the projection grid, each mode's crystal
@@ -32,8 +36,9 @@ garbage-collected; a site subset takes rows of them. ``build_system`` and
 ``apply_pattern`` share their systems across calls, so one set of arrays
 serves every call on the same defect and pattern. The class probabilities
 of a group structure, keyed by its (group size, projections) pairs, are kept
-for the 8 most recent structures of at most 2**14 classes. Every array a
-solver returns is fresh, so a caller may modify it.
+for the 8 most recent structures of at most 2**14 classes. A
+``ShiftDistribution`` lives for one call. Every array a solver returns is
+fresh, so a caller may modify it.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ class _SiteArrays(NamedTuple):
 
     spins: np.ndarray          # I
     dims: list[int]            # 2I + 1
-    norms: np.ndarray          # ||A||_2
+    norms: np.ndarray          # ||A||_2, 0 where I = 0
     m: np.ndarray              # I, I-1, ... padded to the largest 2I+1
     m2: np.ndarray             # m^2
     transverse: np.ndarray     # I(I+1) - m^2
@@ -165,7 +170,7 @@ def _site_arrays(system: SpinSystem) -> _SiteArrays:
     frames = np.array([site.frame for site, _ in system.sites]).reshape(-1, 3, 3)
     m = spins[:, None] - np.arange(max(dims, default=1))
     m2 = m * m
-    norms = np.abs(pv).max(axis=1, initial=0.0)
+    norms = np.where(spins > 0.0, np.abs(pv).max(axis=1, initial=0.0), 0.0)
     transverse = (spins * (spins + 1.0))[:, None] - m2
     by_mode = {
         mode: (a, (a * a).sum(axis=(1, 2))) for mode, a in (
@@ -180,16 +185,14 @@ def _site_arrays(system: SpinSystem) -> _SiteArrays:
     return arrays
 
 
-def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None, held=None):
+def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None):
     """Checked set-up shared by every perturbative solver.
 
     Validates ``order``, ``mode`` and the field (``ValueError`` unless it is a
     finite 3-vector), raises ``ZeroFieldError`` at zero electron Zeeman
-    splitting, warns for each site in ``sites`` (default: all) whose
-    coupling is not small against nu_e, and returns nu_e (MHz) with the
-    per-projection shift table of each site in ``sites``, m descending.
-    Only the field-dependent terms are computed here. Given a list ``held``,
-    the warnings' messages are appended to it instead, for the caller to warn.
+    splitting, and returns nu_e (MHz) with the per-projection shift table of
+    each site in ``sites`` (default: all), m descending. Only the
+    field-dependent terms are computed here.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -200,20 +203,12 @@ def _shift_tables(system: SpinSystem, field, order: int, mode: str, sites=None, 
         raise ZeroFieldError(
             "zero electron Zeeman splitting; use exact_transitions instead"
         )
-    spins, dims, norms, m, m2, transverse, by_mode = _site_arrays(system)
+    spins, dims, _, m, m2, transverse, by_mode = _site_arrays(system)
     tensors, frob2 = by_mode[mode]
-    index = range(len(dims)) if sites is None else list(sites)
     if sites is not None:                   # the subset's rows
-        rows, dims = np.array(index, dtype=np.intp), [dims[k] for k in index]
-        spins, norms, tensors, frob2 = spins[rows], norms[rows], tensors[rows], frob2[rows]
+        rows, dims = np.array(sites, dtype=np.intp), [dims[k] for k in sites]
+        spins, tensors, frob2 = spins[rows], tensors[rows], frob2[rows]
         m, m2, transverse = m[rows], m2[rows], transverse[rows]
-    for k in np.flatnonzero((spins > 0.0) & (norms >= nu_e)):
-        message = (f"site {index[k]}: ||A|| = {norms[k]:.1f} MHz is not small against "
-                   f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable")
-        if held is None:
-            warnings.warn(message, stacklevel=3)
-        else:
-            held.append(message)
     a_vec = axis @ tensors                                  # A^T n per site
     # K = |a| as a batched dot product, which rounds as np.linalg.norm does.
     coupling = np.sqrt((a_vec[:, None, :] @ a_vec[:, :, None]).ravel())
@@ -328,6 +323,101 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     return shifts, _fold_probabilities(structure)
 
 
+class ShiftDistribution:
+    """Carrier lines convolved with the shifts of independent sites, mixed
+    over parts: the one model under every perturbative solver.
+
+    ``parts`` holds (system, probability) pairs. For each part it keeps
+    nu_e, the ``_shift_tables`` of ``sites`` (default: all; their set-up
+    errors are raised here) and the messages of those sites whose coupling
+    is not small against nu_e. The messages are held: each operation gives
+    them as warnings at the caller of the public function that called it,
+    and ``moments`` only when it returns statistics.
+    """
+
+    def __init__(self, parts, field, order: int, mode: str, sites=None):
+        self.parts = []                     # (probability, nu_e, tables, messages)
+        for system, probability in parts:
+            nu_e, tables = _shift_tables(system, field, order, mode, sites)
+            norms = _site_arrays(system).norms
+            messages = [
+                f"site {k}: ||A|| = {norms[k]:.1f} MHz is not small against "
+                f"nu_e = {nu_e:.1f} MHz; perturbative lines are unreliable"
+                for k in (norms >= nu_e).nonzero()[0].tolist() if sites is None or k in sites
+            ]
+            self.parts.append((probability, nu_e, tables, messages))
+
+    def lines(self, carriers=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Frequencies, intensities and weights, parts concatenated in order.
+
+        A part's carrier is one line at nu_e of unit intensity, weighted by
+        the part's probability, or the ``LineList`` that ``carriers()``
+        returns, called after the part's warnings. Every carrier line takes
+        every count-level class of ``_shift_distribution``: frequencies add,
+        weights multiply.
+        """
+        columns = []
+        for probability, nu_e, tables, messages in self.parts:
+            for message in messages:
+                warnings.warn(message, stacklevel=3)
+            carrier = None if carriers is None else carriers()
+            shifts, probs = _shift_distribution(tables)
+            if carrier is None:
+                if probability != 1.0:          # probs is fresh; 1.0 would change no bit
+                    probs *= probability
+                columns.append((nu_e + shifts, np.ones(shifts.size), probs))
+            else:
+                columns.append((np.add.outer(carrier.frequencies, shifts).ravel(),
+                                np.repeat(carrier.intensities, shifts.size),
+                                np.multiply.outer(carrier.weights, probs).ravel()))
+        return columns[0] if len(columns) == 1 else tuple(map(np.concatenate, zip(*columns)))
+
+    def moments(self, lo: float, hi: float, shift: float = 0.0) -> tuple[float, float] | None:
+        """Center and sigma of the lines shifted by ``shift`` in closed form,
+        or ``None`` when the window [``lo``, ``hi``] may cut a line.
+
+        Sites are independent, so a part's mean is nu_e + ``shift`` +
+        sum_k mean(t_k) and its variance sum_k var(t_k) over its tables t_k
+        (Van Vleck's method of moments, Phys. Rev. 74, 1168 (1948)); a
+        mixture adds the spread of its part means. These are the lines'
+        moments only while the window cuts none: ``None`` unless each part's
+        extremes, nu_e + shift + sum_k min t_k or max t_k, lie over
+        (sites + 1) * ``_SHIFT_TOLERANCE`` inside it (grouping equal tables
+        moves no line past them) and a probability is > 0.
+        """
+        moments = []
+        inside = True
+        for probability, nu_e, tables, _ in self.parts:
+            tables = [t.tolist() for t in tables]       # at most 2I + 1 values each
+            margin = (len(tables) + 1) * _SHIFT_TOLERANCE
+            base = nu_e + shift
+            inside = inside and (lo + margin < base + sum(map(min, tables))
+                                 and base + sum(map(max, tables)) < hi - margin)
+            means = [sum(t) / len(t) for t in tables]
+            spread = sum(sum((v - m) ** 2 for v in t) / len(t) for t, m in zip(tables, means))
+            moments.append((probability, base + sum(means), spread))
+        total = sum(p for p, _, _ in moments)
+        if not (inside and total > 0):
+            return None
+        for message in (m for *_, messages in self.parts for m in messages):
+            warnings.warn(message, stacklevel=3)
+        center = sum(p * mean for p, mean, _ in moments) / total
+        sigma = math.sqrt(sum(p * (var + (mean - center) ** 2) for p, mean, var in moments) / total)
+        return center, sigma
+
+    def sample(self, count: int, seed) -> np.ndarray:
+        """Frequencies of ``count`` configurations of the one part, each site's
+        projection drawn uniformly, site by site, by ``default_rng(seed)``."""
+        (_, nu_e, tables, messages), = self.parts
+        for message in messages:
+            warnings.warn(message, stacklevel=3)
+        rng = np.random.default_rng(seed)
+        freqs = np.full(count, nu_e)
+        for table in tables:
+            freqs = freqs + table[rng.integers(0, table.size, size=count)]
+        return freqs
+
+
 def perturb_lines(
     system: SpinSystem, field, order: int = 2, mode: str = MODE_FULL
 ) -> LineList:
@@ -341,19 +431,10 @@ def perturb_lines(
     tensors or the diagonal principal-value simplification. Raises
     ``ValueError`` past ``ENUMERATION_THRESHOLD`` classes.
     """
-    nu_e, tables = _shift_tables(system, field, order, mode)
-    shifts, probs = _shift_distribution(tables)
+    shifts = ShiftDistribution([(system, 1.0)], field, order, mode)
     return LineList(
-        method=f"perturb{order}",
-        field=field,
-        frequencies=nu_e + shifts,
-        intensities=np.ones(shifts.size),
-        weights=probs,
-        meta={
-            "mode": mode,
-            "order": order,
-            "configurations": math.prod(t.size for t in tables),
-        },
+        f"perturb{order}", field, *shifts.lines(),
+        meta={"mode": mode, "order": order, "configurations": system.dimension // 2},
     )
 
 
@@ -558,31 +639,30 @@ def hybrid_solve(
     if not selection:
         return perturb_lines(system, field, order=order, mode=mode)
     rest = [i for i in range(len(system.sites)) if i not in selection]
-    _, tables = _shift_tables(system, field, order, mode, rest)
-    try:
-        h = build_hamiltonian(subsystem, field, terms=mask)
-    except DimensionError as exc:
-        raise DimensionError(
-            f"{len(selection)} exact sites give dimension {subsystem.dimension}, "
-            f"above the cap {DIMENSION_CAP}; select fewer exact sites"
-        ) from exc
-    exact = exact_transitions(h, subsystem)
+    shifts = ShiftDistribution([(system, 1.0)], field, order, mode, rest)
+
+    def exact() -> LineList:
+        try:
+            h = build_hamiltonian(subsystem, field, terms=mask)
+        except DimensionError as exc:
+            raise DimensionError(
+                f"{len(selection)} exact sites give dimension {subsystem.dimension}, "
+                f"above the cap {DIMENSION_CAP}; select fewer exact sites"
+            ) from exc
+        return exact_transitions(h, subsystem)
+
     if not rest:
-        exact.meta.update(exact_sites=selection, method_detail="all sites exact")
-        return exact
-    shifts, probs = _shift_distribution(tables)
+        lines = exact()
+        lines.meta.update(exact_sites=selection, method_detail="all sites exact")
+        return lines
     return LineList(
-        method="hybrid",
-        field=field,
-        frequencies=np.add.outer(exact.frequencies, shifts).ravel(),
-        intensities=np.repeat(exact.intensities, shifts.size),
-        weights=np.multiply.outer(exact.weights, probs).ravel(),
+        "hybrid", field, *shifts.lines(exact),
         meta={
             "exact_sites": selection,
             "subset_terms": sorted(mask),
             "order": order,
             "mode": mode,
-            "configurations": math.prod(t.size for t in tables),
+            "configurations": system.dimension // subsystem.dimension,
         },
     )
 
@@ -613,11 +693,7 @@ def sample_configurations(
         lines = perturb_lines(system, field, order=order, mode=mode)
         lines.meta.update(sampled=False, seed=seed)
         return lines
-    nu_e, tables = _shift_tables(system, field, order, mode)
-    rng = np.random.default_rng(seed)
-    freqs = np.full(sample_count, nu_e)
-    for table in tables:
-        freqs = freqs + table[rng.integers(0, table.size, size=sample_count)]
+    freqs = ShiftDistribution([(system, 1.0)], field, order, mode).sample(sample_count, seed)
     return LineList(
         method=f"perturb{order}-mc",
         field=field,

@@ -4,8 +4,9 @@ Statistics are moments of the weighted line list inside an analysis
 window; the default window starts at 30 MHz because the low-frequency
 branch of strongly coupled nuclei falls outside the measured range. The
 width reported is the FWHM of a Gaussian sharing the distribution's
-standard deviation (``perturb_stats``: in closed form for a perturbative
-solve whose window cuts no line). Rendered spectra are purely presentational.
+standard deviation (``perturb_stats``: in closed form, the moments of
+``solvers.ShiftDistribution``, for a perturbative solve whose window cuts no
+line). Rendered spectra are purely presentational.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .isotopes import GAUSSIAN_FWHM_FACTOR
-from .solvers import _SHIFT_TOLERANCE, MODE_FULL, LineList, _shift_tables
+from .solvers import MODE_FULL, LineList, ShiftDistribution
 
 DEFAULT_WINDOW = (30.0, math.inf)
 DEFAULT_GRID = (0.0, 300.0, 0.1)        # MHz: start, stop, step
@@ -127,39 +128,16 @@ def perturb_stats(parts, field, order: int = 2, mode: str = MODE_FULL,
 
     ``parts`` holds (system, probability) pairs: ``[(system, 1)]`` stands for
     ``perturb_lines``, a composite's applied patterns for ``composite_lines``.
-    Sites are independent, so a part's mean is nu_e + ``shift`` + sum_k
-    mean(t_k) and its variance sum_k var(t_k) over the tables t_k of
-    ``_shift_tables``, which checks as the solvers do (Van Vleck's method of
-    moments, Phys. Rev. 74, 1168 (1948)); a mixture adds the spread of its
-    part means. These are the lines' moments only while the window cuts
-    none: ``None`` unless each part's extremes, nu_e + shift + sum_k min t_k
-    or max t_k, lie over (sites + 1) * ``_SHIFT_TOLERANCE`` inside it
-    (grouping equal tables moves no line past them) and a probability is > 0.
-    The solvers' strong-coupling warnings are given only with statistics:
-    after ``None`` the caller's own solve gives them.
+    The moments are ``ShiftDistribution.moments``, which checks as the
+    solvers do: ``None`` when the window may cut a line or no probability is
+    > 0. The solvers' strong-coupling warnings are given only with
+    statistics: after ``None`` the caller's own solve gives them.
     """
     lo, hi = float(window[0]), float(window[1])
-    moments = []
-    inside = True
-    held = []
-    for system, probability in parts:
-        nu_e, tables = _shift_tables(system, field, order, mode, held=held)
-        tables = [t.tolist() for t in tables]       # at most 2I + 1 values each
-        margin = (len(tables) + 1) * _SHIFT_TOLERANCE
-        base = nu_e + shift
-        inside = inside and (lo + margin < base + sum(map(min, tables))
-                             and base + sum(map(max, tables)) < hi - margin)
-        means = [sum(t) / len(t) for t in tables]
-        spread = sum(sum((v - m) ** 2 for v in t) / len(t) for t, m in zip(tables, means))
-        moments.append((probability, base + sum(means), spread))
-    total = sum(p for p, _, _ in moments)
-    if not (inside and total > 0):
+    moments = ShiftDistribution(parts, field, order, mode).moments(lo, hi, shift)
+    if moments is None:
         return None
-    for message in held:
-        warnings.warn(message, stacklevel=2)
-    center = sum(p * mean for p, mean, _ in moments) / total
-    sigma = math.sqrt(sum(p * (var + (mean - center) ** 2) for p, mean, var in moments) / total)
-    return PeakStats(center, sigma, GAUSSIAN_FWHM_FACTOR * sigma, (lo, hi), 1.0)
+    return PeakStats(*moments, GAUSSIAN_FWHM_FACTOR * moments[1], (lo, hi), 1.0)
 
 
 def _uniform_grid(start: float, stop: float, step: float) -> np.ndarray:

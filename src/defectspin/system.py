@@ -49,9 +49,6 @@ from .isotopes import Isotope, default_isotope, isotopes_of, lookup
 
 ENV_DATA_DIR = "DEFECTSPIN_DATA"
 
-# The types of a JSON number: a bool is an int to Python, but not a number to JSON.
-_NUMBER = (int, float)
-
 # Ideal-lattice distance of each neighbor shell, in units of the B-N bond.
 _SHELL_DISTANCE = {0: 0.0, 1: 1.0, 2: math.sqrt(3.0)}
 
@@ -291,6 +288,16 @@ def expand_shell(entry: ShellEntry) -> list[NuclearSite]:
     return sites
 
 
+def _is_number(value) -> bool:
+    """A JSON number that converts to a finite float. A bool is an int to
+    Python, but not a number to JSON; NaN, Infinity and an integer past the
+    float range are not numbers here."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_types(where: str, checks):
     """Raise ``DatasetError`` at the first ``(name, ok, kind)`` that is not ok."""
     for name, ok, kind in checks:
@@ -308,10 +315,10 @@ def _parse_shell(raw: dict, where: str) -> ShellEntry:
         ("element", isinstance(element, str), "a string"),
         ("count", type(count) is int and count >= 1, "a positive integer"),
         ("shell", type(shell) is int, "an integer"),
-        *((key, type(raw[key]) in _NUMBER, "a number") for key in ("Axx", "Ayy", "Azz")),
-        ("core_contribution", core is None or type(core) in _NUMBER, "a number or null"),
+        *((key, _is_number(raw[key]), "a number") for key in ("Axx", "Ayy", "Azz")),
+        ("core_contribution", core is None or _is_number(core), "a number or null"),
         ("efg", comp is None or (isinstance(comp, list) and len(comp) == 6
-                                 and all(type(c) in _NUMBER for c in comp)),
+                                 and all(map(_is_number, comp))),
          "6 numbers or null"),
     ))
     try:
@@ -426,7 +433,7 @@ def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
         entries = raw.get("sites", [])
         _check_types(where, (
             ("label", isinstance(label, str), "a string"),
-            ("zpl_eV", zpl is None or type(zpl) in _NUMBER, "a number or null"),
+            ("zpl_eV", zpl is None or _is_number(zpl), "a number or null"),
             ("notes", isinstance(notes, str), "a string"),
             ("sites", isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
              "a list of objects"),

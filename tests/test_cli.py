@@ -244,8 +244,12 @@ def test_corrupt_dataset_exits_three(capsys, tmp_path):
         ("zpl_eV", True, "CN0", "'zpl_eV' must be a number or null"),
         ("label", 5, "cn0", "'label' must be a string"),
         ("notes", ["x"], "CN0", "'notes' must be a string"),
+        ("zpl_eV", float("nan"), "CN0", "'zpl_eV' must be a number or null"),
+        ("zpl_eV", -math.inf, "CN0", "'zpl_eV' must be a number or null"),
+        ("zpl_eV", 10**400, "CN0", "'zpl_eV' must be a number or null"),
     ],
-    ids=["string-zpl", "bool-zpl", "numeric-label", "list-notes"],
+    ids=["string-zpl", "bool-zpl", "numeric-label", "list-notes", "nan-zpl", "inf-zpl",
+         "huge-int-zpl"],
 )
 def test_defect_field_of_the_wrong_type_exits_three(
     capsys, tmp_path, key, value, defect, message
@@ -282,10 +286,24 @@ def test_defect_field_of_the_wrong_type_exits_three(
         (1, "count", True, " (CB0): 'count' must be a positive integer"),
         (1, "count", 0, " (CB0): 'count' must be a positive integer"),
         (1, "core_contribution", "x", " (CB0): 'core_contribution' must be a number or null"),
+        # Numbers that do not convert to a finite float: json.dumps writes NaN
+        # and Infinity, and an int as all its digits; "1e400" is spliced in.
+        (1, "Axx", 10**400, " (CB0): 'Axx' must be a number"),
+        (1, "Ayy", float("nan"), " (CB0): 'Ayy' must be a number"),
+        (1, "Azz", math.inf, " (CB0): 'Azz' must be a number"),
+        (1, "Axx", "1e400", " (CB0): 'Axx' must be a number"),
+        (1, "core_contribution", float("nan"),
+         " (CB0): 'core_contribution' must be a number or null"),
+        (1, "efg", [-15.0, -15.0, 30.0, 0.0, 0.0, 10**400],
+         " (CB0): 'efg' must be 6 numbers or null"),
+        (1, "efg", [-15.0, -15.0, 30.0, 0.0, 0.0, -math.inf],
+         " (CB0): 'efg' must be 6 numbers or null"),
     ],
     ids=["int-defect", "list-defect", "int-sites", "int-shell", "int-element",
          "null-Axx", "string-Axx", "bool-Azz", "int-efg", "short-efg", "string-efg",
-         "float-shell", "bool-shell", "bool-count", "zero-count", "string-core"],
+         "float-shell", "bool-shell", "bool-count", "zero-count", "string-core",
+         "huge-int-Axx", "nan-Ayy", "inf-Azz", "1e400-Axx", "nan-core", "huge-int-efg",
+         "inf-efg"],
 )
 def test_malformed_defect_entry_exits_three(capsys, tmp_path, shell, key, value, message):
     doc = json.loads(Path(dataset_path("defects")).read_text())
@@ -297,7 +315,8 @@ def test_malformed_defect_entry_exits_three(capsys, tmp_path, shell, key, value,
     else:
         doc["defects"][index]["sites"][shell][key] = value
     path = tmp_path / "defects.json"
-    path.write_text(json.dumps(doc))
+    text = json.dumps(doc)
+    path.write_text(text.replace('"1e400"', "1e400") if value == "1e400" else text)
     code, out, err = _run(capsys, ["odmr", "--defect", "CN0", "--data", str(tmp_path)])
     assert (code, out) == (3, "")
     assert err == f"defectspin: dataset error: {path}: defect #{index}{message}\n"
@@ -385,6 +404,40 @@ def test_rescale_overflow_prints_only_the_error_line(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "defectspin: error: principal values must be finite\n"
+
+
+# Every perturbative path of odmr, at a field where the 13C site's coupling
+# is not small against nu_e: the closed form, the line list a cutting window
+# falls back to, the natural composite, the hybrid remainder, the hybrid whose
+# exact subsystem is past the dimension cap, and an export.
+@pytest.mark.parametrize("defect", ["CB0", "CN0"])
+@pytest.mark.parametrize(
+    "extra, code",
+    [
+        (["--window=-inf,inf"], 0),
+        ([], 0),
+        (["--isotopes", "natural"], 0),
+        (["--method", "hybrid"], 0),
+        (["--method", "hybrid", "--exact-shell", "2"], 1),
+        (["--out-lines", "{tmp}/lines.txt"], 0),
+    ],
+    ids=["closed-form", "window-cut", "natural", "hybrid", "hybrid-cap", "out-lines"],
+)
+def test_strong_coupling_warns_once_on_every_perturbative_path(tmp_path, defect, extra, code):
+    # A fresh interpreter with the default filters prints what a user sees.
+    argv = ["odmr", "--defect", defect, "--carbon13", "--B", "42"]
+    argv += [a.replace("{tmp}", str(tmp_path)) for a in extra]
+    env = dict(os.environ, PYTHONPATH=str(Path(defectspin.__file__).parents[1]),
+               PYTHONWARNINGS="default")
+    done = subprocess.run([sys.executable, "-m", "defectspin.cli", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == code, done.stderr
+    lines = done.stderr.splitlines()
+    warned = [k for k, line in enumerate(lines) if "is not small against nu_e" in line]
+    errors = [k for k, line in enumerate(lines) if line.startswith("defectspin: ")]
+    assert len(warned) == 1, done.stderr
+    assert len(errors) == (1 if code else 0), done.stderr
+    assert all(warned[0] < k for k in errors)
 
 
 def test_warnings_print_once_across_main_calls_in_one_process():
@@ -744,6 +797,9 @@ def test_ctl_json_record_and_text_row_print_the_same(
         ("A 1 nan", "A: energy must be finite"),
         ("A 1 -14.0 -0.3", "A: correction must be non-negative"),
         ("A 1 -14.0 abc", "could not convert string to float: 'abc'"),
+        ("A 1 -14.0 nan", "A: correction must be finite"),
+        ("A 1 -14.0 inf", "A: correction must be finite"),
+        ("A 1 -14.0 -inf", "A: correction must be non-negative"),
     ],
 )
 def test_ctl_bad_text_value_exits_three(capsys, tmp_path, row, message):
@@ -752,6 +808,28 @@ def test_ctl_bad_text_value_exits_three(capsys, tmp_path, row, message):
     code, out, err = _run(capsys, ["ctl", str(path)])
     assert (code, out) == (3, "")
     assert err == f"defectspin: dataset error: {path}: line 2: {message}\n"
+
+
+# A JSON integer past the float range fails float() with OverflowError.
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"energy_eV": 10**400}, "int too large to convert to float"),
+        ({"energy_eV": -14.0, "correction_eV": 10**400}, "int too large to convert to float"),
+        ({"energy_eV": -14.0, "correction_eV": float("nan")}, "A: correction must be finite"),
+        ({"energy_eV": -14.0, "correction_eV": math.inf}, "A: correction must be finite"),
+    ],
+    ids=["huge-int-energy", "huge-int-correction", "nan-correction", "inf-correction"],
+)
+def test_ctl_json_number_that_is_no_finite_float_exits_three(capsys, tmp_path, fields, message):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([
+        {"label": "A", "charge": 0, "energy_eV": -10.0},
+        {"label": "A", "charge": 1, **fields},
+    ]))
+    code, out, err = _run(capsys, ["ctl", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"defectspin: dataset error: {path}: record #1: {message}\n"
 
 
 @pytest.mark.parametrize(

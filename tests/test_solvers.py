@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian
 from defectspin.isotopes import CONSTANTS, lookup
-from defectspin.isotopologues import composite_lines, enumerate_patterns
+from defectspin.isotopologues import apply_pattern, composite_lines, enumerate_patterns
 from defectspin import solvers
 from defectspin.solvers import (
     ENUMERATION_THRESHOLD,
@@ -33,7 +33,7 @@ from defectspin.solvers import (
     sample_configurations,
     shell_indices,
 )
-from defectspin.spectrum import peak_stats
+from defectspin.spectrum import peak_stats, perturb_stats
 from defectspin.system import (
     NuclearSite,
     SpinSystem,
@@ -1016,6 +1016,11 @@ def _line_bytes(lines):
             lines.weights.tobytes(), repr(sorted(lines.meta.items())))
 
 
+def _stats_bits(stats):
+    """Center and sigma of closed-form statistics as ``float.hex``, or None."""
+    return None if stats is None else (stats.center.hex(), stats.sigma.hex())
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     kinds=st.lists(_SITE, min_size=1, max_size=4),
@@ -1039,21 +1044,28 @@ def test_cached_solvers_match_the_uncached_set_up_bitwise(
     system = SpinSystem("random", tuple(sites))
     exact = data.draw(st.sets(st.integers(0, len(sites) - 1), max_size=2))
     field = magnitude * np.asarray(direction) / np.linalg.norm(direction)
+    # Boron and nitrogen isotopes both carry a coupling, so every pattern applies.
+    patterns = enumerate_patterns(system, (data.draw(st.sampled_from(["B", "N"])),))
+    parts = [(apply_pattern(system, p), p.probability) for p in patterns]
+    window = data.draw(st.sampled_from([(30.0, np.inf), (0.0, np.inf), (100.0, 400.0)]))
+    shift = data.draw(st.sampled_from([0.0, 12.5]))
     calls = {
-        "perturb": lambda: perturb_lines(system, field, order, mode),
-        "hybrid": lambda: hybrid_solve(system, exact, field, order=order, mode=mode),
-        "enumerated": lambda: sample_configurations(system, field, order, mode),
-        "sampled": lambda: sample_configurations(
-            system, field, order, mode, sample_count=50, enumeration_threshold=1),
+        "perturb": lambda: _line_bytes(perturb_lines(system, field, order, mode)),
+        "hybrid": lambda: _line_bytes(hybrid_solve(system, exact, field, order=order, mode=mode)),
+        "enumerated": lambda: _line_bytes(sample_configurations(system, field, order, mode)),
+        "sampled": lambda: _line_bytes(sample_configurations(
+            system, field, order, mode, sample_count=50, enumeration_threshold=1)),
+        "composite": lambda: _line_bytes(composite_lines(system, patterns, field, order, mode)),
+        "stats": lambda: _stats_bits(perturb_stats(parts, field, order, mode, window, shift)),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)   # strong coupling is fine here
-        first = {name: _line_bytes(call()) for name, call in calls.items()}
+        first = {name: call() for name, call in calls.items()}
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_shift_tables", _uncached_shift_tables)
             patch.setattr(solvers, "_shift_distribution", _uncached_shift_distribution)
-            expected = {name: _line_bytes(call()) for name, call in calls.items()}
-        again = {name: _line_bytes(call()) for name, call in calls.items()}
+            expected = {name: call() for name, call in calls.items()}
+        again = {name: call() for name, call in calls.items()}
     assert first == expected
     assert again == expected
 
