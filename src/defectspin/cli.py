@@ -166,7 +166,7 @@ def _label(args) -> str:
 
 def _resolve_system(args) -> SpinSystem:
     if args.system_path:
-        return SpinSystem.from_dict(read_json(args.system_path, "system file"))
+        return SpinSystem.from_dict(read_json(args.system_path, "system file"), args.system_path)
     if not args.defect:
         raise UsageError("either --defect or --system is required")
     records = load_defect_dataset(dataset_path("defects", args.data_dir))

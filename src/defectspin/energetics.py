@@ -16,11 +16,12 @@ and a negative value favors complex formation.
 
 from __future__ import annotations
 
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from .system import DatasetError, dataset_path, read_json, read_text
+from .system import OBJECTS, STRING, STRINGS, DatasetError, dataset_path, read_fields
+from .system import read_json, read_text
 
 INDIRECT_GAP_EV = 5.950     # hBN indirect gap; CBM reference for flagging
 
@@ -36,7 +37,7 @@ class EnergyRecord:
     flag: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.energy):
+        if not abs(self.energy) <= sys.float_info.max:     # NaN, inf, a huge int
             raise ValueError(f"{self.label}: energy must be finite")
         if self.charge == 0:
             if self.correction not in (0.0, None):
@@ -44,7 +45,7 @@ class EnergyRecord:
             object.__setattr__(self, "correction", 0.0)
         elif self.correction is not None and self.correction < 0:
             raise ValueError(f"{self.label}: correction must be non-negative")
-        elif self.correction is not None and not math.isfinite(self.correction):
+        elif self.correction is not None and not abs(self.correction) <= sys.float_info.max:
             raise ValueError(f"{self.label}: correction must be finite")
 
 
@@ -200,14 +201,15 @@ def _optional_float(value) -> float | None:
 
 
 def _record_from_json(raw: dict, where: str) -> EnergyRecord:
+    label, flag = read_fields(raw, where, (("label", STRING), ("flag", STRING, None)))
     try:
         return EnergyRecord(
-            label=raw["label"],
+            label=label,
             charge=_charge(raw["charge"]),
             energy=float(raw["energy_eV"]),
             # Missing: 0.0, as for a text row without the column; null: unavailable.
             correction=_optional_float(raw.get("correction_eV", 0.0)),
-            flag=raw.get("flag"),
+            flag=flag,
         )
     except KeyError as exc:
         raise DatasetError(f"{where}: missing field {exc.args[0]!r}") from None
@@ -229,11 +231,9 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
         path = dataset_path("energies")
     if path.endswith(".json"):
         doc = read_json(path, "energy records")
-        raw_records = doc.get("records", doc) if isinstance(doc, dict) else doc
-        return [
-            _record_from_json(raw, f"{path}: record #{i}")
-            for i, raw in enumerate(raw_records)
-        ]
+        doc = doc if isinstance(doc, dict) else {"records": doc}
+        raw_records, = read_fields(doc, path, (("records", OBJECTS),))
+        return [_record_from_json(raw, f"{path}: record #{i}") for i, raw in enumerate(raw_records)]
     text = read_text(path, "energy records")
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -253,19 +253,24 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
     return records
 
 
+_COMPLEXES_FIELDS = (("pristine", STRING, "pristine"), ("complexes", OBJECTS, []))
+_COMPLEX_FIELDS = (("complex", STRING), ("constituents", STRINGS))
+
+
 def load_complexes(path: str | None = None) -> dict:
     """Complex composition table plus the pristine-cell label.
 
     Returns ``{"pristine": label, "complexes": [{"complex": ...,
-    "constituents": [...]}, ...]}``.
+    "constituents": [...]}, ...]}``: the file's object, or its bare list of
+    complexes under the default ``"pristine"``. A missing key or a label
+    that is not a string raises ``DatasetError`` naming the entry.
     """
     if path is None:
         path = dataset_path("complexes")
     doc = read_json(path, "complexes")
     if not isinstance(doc, dict):
         doc = {"complexes": doc}
-    entries = doc.get("complexes", [])
-    for entry in entries:
-        if "complex" not in entry or "constituents" not in entry:
-            raise DatasetError(f"{path}: entries need 'complex' and 'constituents'")
-    return {"pristine": doc.get("pristine", "pristine"), "complexes": entries}
+    pristine, entries = read_fields(doc, path, _COMPLEXES_FIELDS)
+    for i, entry in enumerate(entries):
+        read_fields(entry, f"{path}: complex #{i}", _COMPLEX_FIELDS)
+    return {"pristine": pristine, "complexes": entries}

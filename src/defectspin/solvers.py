@@ -133,10 +133,13 @@ class LineList:
 
 
 def electron_axis(system: SpinSystem, field) -> tuple[float, np.ndarray]:
-    """Electron Zeeman frequency nu_e (MHz) and quantization direction."""
+    """Electron Zeeman frequency nu_e (MHz), which must be finite, and quantization direction."""
     b = np.asarray(field, dtype=float)
-    heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ b)
-    nu_e = float(np.linalg.norm(heff))
+    with np.errstate(over="ignore"):           # an overflow is refused below
+        heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ b)
+        nu_e = float(np.linalg.norm(heff))
+    if not math.isfinite(nu_e):
+        raise ValueError("electron Zeeman frequency overflows: g tensor or field too large")
     if nu_e == 0.0:
         return 0.0, np.array([0.0, 0.0, 1.0])
     return nu_e, heff / nu_e
@@ -172,12 +175,15 @@ def _site_arrays(system: SpinSystem) -> _SiteArrays:
     m2 = m * m
     norms = np.where(spins > 0.0, np.abs(pv).max(axis=1, initial=0.0), 0.0)
     transverse = (spins * (spins + 1.0))[:, None] - m2
-    by_mode = {
-        mode: (a, (a * a).sum(axis=(1, 2))) for mode, a in (
-            (MODE_ACONST, pv[:, :, None] * np.eye(3)),
-            (MODE_FULL, (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)),
-        )
-    }
+    with np.errstate(over="ignore"):           # an overflow is refused below
+        by_mode = {
+            mode: (a, (a * a).sum(axis=(1, 2))) for mode, a in (
+                (MODE_ACONST, pv[:, :, None] * np.eye(3)),
+                (MODE_FULL, (frames * pv[:, None, :]) @ frames.transpose(0, 2, 1)),
+            )
+        }
+    if not np.isfinite(by_mode[MODE_ACONST][1] + by_mode[MODE_FULL][1]).all():
+        raise ValueError("hyperfine tensor too large: its ||A||_F^2 overflows")
     for a in (spins, norms, m, m2, transverse, *(a for pair in by_mode.values() for a in pair)):
         a.flags.writeable = False
     arrays = _SiteArrays(spins, dims, norms, m, m2, transverse, by_mode)

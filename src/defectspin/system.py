@@ -41,6 +41,7 @@ import functools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,8 +113,9 @@ class NuclearSite:
         f = self.frame
         if f.shape != (3, 3):
             raise ValueError("frame must be 3x3")
-        # rtol=0: the coupling warning needs ||A||_2 = max |principal value|.
-        if not np.allclose(f.T @ f, np.eye(3), rtol=0.0, atol=1e-10):
+        # rtol=0: the coupling warning needs ||A||_2 = max |principal value|. A
+        # rotation has no entry past 1, and a huge one would overflow f.T @ f.
+        if np.abs(f).max() > 2.0 or not np.allclose(f.T @ f, np.eye(3), rtol=0.0, atol=1e-10):
             raise ValueError("frame is not orthonormal")
         if not math.isclose(float(np.linalg.det(f)), 1.0, abs_tol=1e-10):
             raise ValueError("frame must be a proper rotation (det +1)")
@@ -126,9 +128,9 @@ class NuclearSite:
                 raise ValueError("efg must be symmetric")
             if abs(float(np.trace(v))) > 1e-6 * scale:
                 raise ValueError("efg must be traceless")
-            # Store the symmetric part: the Hamiltonian built from it must be
-            # Hermitian to 1e-9, tighter than the 1e-6 accepted above.
-            object.__setattr__(self, "efg", _readonly((v + v.T) / 2.0))
+            # The symmetric part, halves summed (no overflow): the Hamiltonian
+            # must be Hermitian to 1e-9, tighter than the 1e-6 accepted above.
+            object.__setattr__(self, "efg", _readonly(v / 2.0 + v.T / 2.0))
 
     def hyperfine_tensor(self) -> np.ndarray:
         """Full 3x3 hyperfine tensor in the crystal frame, MHz."""
@@ -187,39 +189,36 @@ class SpinSystem:
         return sub
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "g_tensor": self.g_tensor.tolist(),
-            "sites": [
-                {
-                    "element": s.element,
-                    "shell_distance": s.shell_distance,
-                    "bond_azimuth": s.bond_azimuth,
-                    "principal_values": list(s.principal_values),
-                    "frame": s.frame.tolist(),
-                    "efg": None if s.efg is None else s.efg.tolist(),
-                    "group_id": s.group_id,
-                    "isotope": iso.symbol,
-                }
-                for s, iso in self.sites
-            ],
-        }
+        """This system as a ``--system`` document of plain JSON values; ``from_dict`` reads it."""
+        sites = [
+            {key: np.asarray(iso.symbol if key == "isotope" else getattr(site, key)).tolist()
+             for key, *_ in _SITE_FIELDS}
+            for site, iso in self.sites
+        ]
+        return {key: sites if key == "sites" else np.asarray(getattr(self, key)).tolist()
+                for key, _ in _SYSTEM_FIELDS}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SpinSystem":
-        sites = []
-        for entry in data["sites"]:
-            site = NuclearSite(
-                element=entry["element"],
-                shell_distance=entry["shell_distance"],
-                bond_azimuth=entry["bond_azimuth"],
-                principal_values=tuple(entry["principal_values"]),
-                frame=np.array(entry["frame"]),
-                efg=None if entry.get("efg") is None else np.array(entry["efg"]),
-                group_id=entry.get("group_id", ""),
-            )
-            sites.append((site, lookup(entry["isotope"])))
-        return cls(data["label"], tuple(sites), np.array(data["g_tensor"]))
+    def from_dict(cls, data, where: str = "system") -> "SpinSystem":
+        """The system of a ``to_dict`` document. A field missing, of the wrong JSON
+        type or refused by ``NuclearSite``, ``lookup`` or ``SpinSystem`` raises
+        ``DatasetError`` naming ``where``, the site and the field."""
+        if not isinstance(data, dict):
+            raise DatasetError(f"{where}: expected a system object")
+        label, g_tensor, entries = read_fields(data, where, _SYSTEM_FIELDS)
+        sites, at = [], where                   # at: what an error names
+        try:
+            for i, entry in enumerate(entries):
+                at = f"{where}: site #{i}"
+                *values, symbol = read_fields(entry, at, _SITE_FIELDS)
+                site, iso = NuclearSite(*values), lookup(symbol)
+                if iso.element != site.element:
+                    raise ValueError(f"'isotope' {symbol} is not an isotope of {site.element}")
+                sites.append((site, iso))
+            at = where
+            return cls(label, tuple(sites), g_tensor)
+        except (KeyError, ValueError) as exc:
+            raise DatasetError(f"{at}: {exc.args[0]}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,72 +270,77 @@ def expand_shell(entry: ShellEntry) -> list[NuclearSite]:
     """Expand a shell entry into individual sites with frames attached."""
     dist = _SHELL_DISTANCE.get(entry.shell, float(entry.shell))
     group = f"{entry.element}-shell{entry.shell}"
-    sites = []
-    for azimuth in _shell_azimuths(entry.count):
-        frame = bond_frame(azimuth) if entry.shell == 1 else axial_frame(azimuth)
-        sites.append(
-            NuclearSite(
-                element=entry.element,
-                shell_distance=dist,
-                bond_azimuth=azimuth,
-                principal_values=entry.principal_values,
-                frame=frame,
-                efg=entry.efg,
-                group_id=group,
-            )
-        )
-    return sites
+    return [
+        NuclearSite(element=entry.element, shell_distance=dist, bond_azimuth=azimuth,
+                    principal_values=entry.principal_values,
+                    frame=bond_frame(azimuth) if entry.shell == 1 else axial_frame(azimuth),
+                    efg=entry.efg, group_id=group)
+        for azimuth in _shell_azimuths(entry.count)
+    ]
 
 
-def _is_number(value) -> bool:
-    """A JSON number that converts to a finite float. A bool is an int to
-    Python, but not a number to JSON; NaN, Infinity and an integer past the
-    float range are not numbers here."""
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:
-        return False
+def _list_of(ok, n: int | None = None):
+    return lambda v: isinstance(v, list) and len(v) == (n or len(v)) and all(map(ok, v))
 
 
-def _check_types(where: str, checks):
-    """Raise ``DatasetError`` at the first ``(name, ok, kind)`` that is not ok."""
-    for name, ok, kind in checks:
-        if not ok:
-            raise DatasetError(f"{where}: {name!r} must be {kind}")
+# Kinds of JSON value ``read_fields`` checks: the words of its message and a test.
+# A number is never a bool, NaN, Infinity, 1e400 or an integer past the float range.
+NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+STRING = ("a string", lambda v: isinstance(v, str))
+INTEGER = ("an integer", lambda v: type(v) is int)
+POSITIVE = ("a positive integer", lambda v: type(v) is int and v >= 1)
+NUMBERS3 = ("3 numbers", _list_of(NUMBER[1], 3))
+NUMBERS6 = ("6 numbers", _list_of(NUMBER[1], 6))
+MATRIX = ("a 3x3 matrix of numbers", _list_of(NUMBERS3[1], 3))
+STRINGS = ("a list of strings", _list_of(STRING[1]))
+OBJECTS = ("a list of objects", _list_of(lambda v: isinstance(v, dict)))
+
+
+def read_fields(raw: dict, where: str, fields) -> list:
+    """The values of ``fields`` in the JSON object ``raw``, in their order:
+    ``(key, kind)``, or ``(key, kind, default)`` for a key that may be missing,
+    where a default of ``None`` also accepts ``null``. A missing mandatory key
+    or a value not of its kind raises ``DatasetError`` naming ``where`` (the
+    file and record) and the key."""
+    values = []
+    for field in fields:
+        key, (what, ok), default = field[0], field[1], field[2:]
+        if key not in raw and not default:
+            raise DatasetError(f"{where}: missing mandatory field {key!r}")
+        value = raw[key] if key in raw else default[0]
+        if not (ok(value) or value is None and None in default):
+            raise DatasetError(f"{where}: {key!r} must be {what}{' or null' * (None in default)}")
+        values.append(value)
+    return values
+
+
+# The ``--system`` format: the document, then each site. Every site field but
+# the isotope is the ``NuclearSite`` attribute of that name, in its order.
+_SYSTEM_FIELDS = (("label", STRING), ("g_tensor", MATRIX), ("sites", OBJECTS))
+_SITE_FIELDS = (
+    ("element", STRING), ("shell_distance", NUMBER), ("bond_azimuth", NUMBER),
+    ("principal_values", NUMBERS3), ("frame", MATRIX), ("efg", MATRIX, None),
+    ("group_id", STRING, ""), ("isotope", STRING),
+)
+_DEFECT_FIELDS = (
+    ("label", STRING), ("zpl_eV", NUMBER, None), ("notes", STRING, ""), ("sites", OBJECTS, []),
+)
+_SHELL_FIELDS = (
+    ("element", STRING), ("count", POSITIVE), ("shell", INTEGER),
+    ("Axx", NUMBER), ("Ayy", NUMBER), ("Azz", NUMBER),
+    ("core_contribution", NUMBER, None), ("efg", NUMBERS6, None),
+)
 
 
 def _parse_shell(raw: dict, where: str) -> ShellEntry:
-    for key in ("element", "count", "shell", "Axx", "Ayy", "Azz"):
-        if key not in raw:
-            raise DatasetError(f"{where}: missing mandatory field {key!r}")
-    element, count, shell = raw["element"], raw["count"], raw["shell"]
-    core, comp = raw.get("core_contribution"), raw.get("efg")
-    _check_types(where, (
-        ("element", isinstance(element, str), "a string"),
-        ("count", type(count) is int and count >= 1, "a positive integer"),
-        ("shell", type(shell) is int, "an integer"),
-        *((key, _is_number(raw[key]), "a number") for key in ("Axx", "Ayy", "Azz")),
-        ("core_contribution", core is None or _is_number(core), "a number or null"),
-        ("efg", comp is None or (isinstance(comp, list) and len(comp) == 6
-                                 and all(map(_is_number, comp))),
-         "6 numbers or null"),
-    ))
+    element, count, shell, *values, core, comp = read_fields(raw, where, _SHELL_FIELDS)
     try:
         isotopes_of(element)
     except KeyError:
         raise DatasetError(f"{where}: unknown element {element!r}") from None
-    efg = None
-    if comp is not None:
-        xx, yy, zz, xy, xz, yz = (float(c) for c in comp)
-        efg = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
-    return ShellEntry(
-        element=element,
-        count=count,
-        shell=shell,
-        principal_values=(float(raw["Axx"]), float(raw["Ayy"]), float(raw["Azz"])),
-        core_contribution=core,
-        efg=efg,
-    )
+    # [Vxx, Vyy, Vzz, Vxy, Vxz, Vyz] into the symmetric crystal-frame tensor.
+    efg = None if comp is None else np.array(comp, dtype=float)[[[0, 3, 4], [3, 1, 5], [4, 5, 2]]]
+    return ShellEntry(element, count, shell, tuple(map(float, values)), core, efg)
 
 
 def data_directory() -> str:
@@ -427,28 +431,13 @@ def _parse_defects(path: str, text: str) -> tuple[DefectRecord, ...]:
         where = f"{path}: defect #{i}"
         if not isinstance(raw, dict):
             raise DatasetError(f"{where}: expected a defect object")
-        if "label" not in raw:
-            raise DatasetError(f"{where}: missing mandatory field 'label'")
-        label, zpl, notes = raw["label"], raw.get("zpl_eV"), raw.get("notes", "")
-        entries = raw.get("sites", [])
-        _check_types(where, (
-            ("label", isinstance(label, str), "a string"),
-            ("zpl_eV", zpl is None or _is_number(zpl), "a number or null"),
-            ("notes", isinstance(notes, str), "a string"),
-            ("sites", isinstance(entries, list) and all(isinstance(e, dict) for e in entries),
-             "a list of objects"),
-        ))
+        label, zpl, notes, entries = read_fields(raw, where, _DEFECT_FIELDS)
         shells = tuple(_parse_shell(e, f"{where} ({label})") for e in entries)
-        sites = tuple(site for entry in shells for site in expand_shell(entry))
-        records.append(
-            DefectRecord(
-                label=label,
-                zpl_energy=zpl,
-                shells=shells,
-                sites=sites,
-                notes=notes,
-            )
-        )
+        try:
+            sites = tuple(site for entry in shells for site in expand_shell(entry))
+            records.append(DefectRecord(label, zpl, shells, sites, notes))
+        except ValueError as exc:           # a site or the record refuses a value
+            raise DatasetError(f"{where}: {exc}") from None
     return tuple(records)
 
 

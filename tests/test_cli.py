@@ -375,18 +375,42 @@ def test_hybrid_exact_shell_respects_dimension_cap(capsys):
 
 
 @pytest.mark.parametrize("method", ["perturb2", "hybrid"])
-def test_system_file_with_nan_principal_value_exits_one(capsys, tmp_path, method):
-    # json reads the NaN literal; NuclearSite refuses it while the file is
-    # read, before a solver can turn it into a misleading message.
+def test_system_file_with_nan_principal_value_exits_three(capsys, tmp_path, method):
+    # json reads the NaN literal; the file's reader refuses it, before a
+    # solver can turn it into a misleading message.
     data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
     data["sites"][1]["principal_values"][0] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(data))
     code, out, err = _run(capsys, ["odmr", "--system", str(path), "--method", method])
-    assert code == 1
+    assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert "principal values" in err
+    assert "site #1: 'principal_values'" in err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("sites", 1, "frame", 0, 0), 2.0, "site #1: frame is not orthonormal"),
+        (("sites", 1, "isotope"), "14N", "site #1: 'isotope' 14N is not an isotope of B"),
+        (("sites", 1, "element"), 5, "site #1: 'element' must be a string"),
+        (("g_tensor", 0, 1), 0.5, "g_tensor must be a symmetric 3x3 matrix"),
+        (("label",), None, "'label' must be a string"),
+    ],
+    ids=["skewed-frame", "foreign-isotope", "int-element", "asymmetric-g", "null-label"],
+)
+def test_bad_system_content_exits_three_naming_the_site(capsys, tmp_path, path, value, message):
+    data = build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    file = tmp_path / "cn0.json"
+    file.write_text(json.dumps(data))
+    code, out, err = _run(capsys, ["odmr", "--system", str(file)])
+    assert (code, out) == (3, "")
+    assert err == f"defectspin: dataset error: {file}: {message}\n"
 
 
 def test_rescale_overflow_prints_only_the_error_line(tmp_path):

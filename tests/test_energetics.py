@@ -336,6 +336,71 @@ def test_load_complexes_shape():
         assert len(entry["constituents"]) in (2, 3)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"complexes": 5}, "'complexes' must be a list of objects"),
+        ({"complexes": [5]}, "'complexes' must be a list of objects"),
+        ({"pristine": None, "complexes": []}, "'pristine' must be a string"),
+        ([{"constituents": ["CB"]}], "complex #0: missing mandatory field 'complex'"),
+        ([{"complex": 1, "constituents": []}], "complex #0: 'complex' must be a string"),
+        ([{"complex": "C", "constituents": "CB"}],
+         "complex #0: 'constituents' must be a list of strings"),
+        ([{"complex": "C", "constituents": ["CB", 1]}],
+         "complex #0: 'constituents' must be a list of strings"),
+    ],
+    ids=["int-list", "int-entry", "null-pristine", "no-complex", "int-complex",
+         "string-constituents", "int-constituent"],
+)
+def test_load_complexes_names_the_entry_and_the_field(tmp_path, doc, message):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError) as info:
+        load_complexes(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_complexes_takes_a_bare_list_under_the_default_pristine(tmp_path):
+    path = tmp_path / "c.json"
+    entries = [{"complex": "C2", "constituents": ["C", "C"]}]
+    path.write_text(json.dumps(entries))
+    assert load_complexes(str(path)) == {"pristine": "pristine", "complexes": entries}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"records": 5}, "'records' must be a list of objects"),
+        (None, "'records' must be a list of objects"),
+        ({"version": "1"}, "missing mandatory field 'records'"),
+        ([{"label": ["A"], "charge": 0, "energy_eV": 0.0}],
+         "record #0: 'label' must be a string"),
+        ([{"label": "A", "charge": 0, "energy_eV": 0.0, "flag": 1}],
+         "record #0: 'flag' must be a string or null"),
+    ],
+    ids=["int-records", "null-document", "no-records", "list-label", "int-flag"],
+)
+def test_json_records_of_the_wrong_type_name_the_field(tmp_path, doc, message):
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError) as info:
+        load_energy_records(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"energy": 10**400}, "A: energy must be finite"),
+        ({"energy": -1.0, "correction": 10**400}, "A: correction must be finite"),
+    ],
+    ids=["energy", "correction"],
+)
+def test_record_refuses_an_integer_past_the_float_range(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EnergyRecord("A", 1, **fields)
+
+
 def test_load_complexes_parse_error_names_the_reason(tmp_path):
     path = tmp_path / "c.json"
     path.write_text('{"complexes": [}')

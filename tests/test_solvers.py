@@ -125,6 +125,28 @@ def test_electron_axis_follows_g_tensor():
     np.testing.assert_allclose(axis, heff / np.linalg.norm(heff))
 
 
+@pytest.mark.parametrize(
+    "g, field",
+    [(np.diag([2.0, 2.0, 1e308]), FIELD), (2.0 * np.eye(3), [0.0, 0.0, 1e308])],
+    ids=["huge-g", "huge-field"],
+)
+def test_electron_axis_refuses_an_overflow_without_a_numpy_warning(g, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="electron Zeeman frequency overflows"):
+            electron_axis(SpinSystem("e", (), g), field)
+
+
+@pytest.mark.parametrize("symbol", ["11B", "12C"])
+def test_perturbative_solve_refuses_a_huge_tensor_without_a_numpy_warning(symbol):
+    # 12C carries no spin, but a pattern may give the site 13C.
+    system = _single(symbol, (1.0, 2.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="hyperfine tensor too large"):
+            perturb_lines(system, FIELD)
+
+
 def test_isotropic_second_order_closed_form():
     a = 20.0
     system = _single("11B", (a, a, a))

@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from defectspin.system import (
+    MATRIX,
+    NUMBER,
+    NUMBERS3,
+    POSITIVE,
+    STRING,
     DatasetError,
     NuclearSite,
     ShellEntry,
@@ -15,11 +21,14 @@ from defectspin.system import (
     bond_frame,
     build_system,
     data_directory,
+    dataset_path,
     dataset_version,
     expand_shell,
     find_defect,
     load_defect_dataset,
+    read_fields,
     read_json,
+    read_text,
 )
 
 
@@ -121,6 +130,24 @@ def test_site_stores_symmetric_part_of_efg():
     nearly[1, 0] += 2e-6
     site = NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=nearly)
     np.testing.assert_array_equal(site.efg, site.efg.T)
+
+
+def test_site_refuses_a_huge_frame_entry_without_a_numpy_warning():
+    frame = np.eye(3)
+    frame[0, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="frame is not orthonormal"):
+            NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), frame)
+
+
+def test_site_keeps_an_efg_near_the_float_limit_finite():
+    efg = np.zeros((3, 3))
+    efg[0, 1] = efg[1, 0] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        site = NuclearSite("N", 1.0, 0.0, (1.0, 2.0, 3.0), np.eye(3), efg=efg)
+    assert site.efg.tobytes() == efg.tobytes()
 
 
 def test_site_rejects_traceful_efg():
@@ -409,3 +436,103 @@ def test_dataset_rejects_missing_field(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(DatasetError):
         load_defect_dataset(str(path))
+
+
+@pytest.mark.parametrize(
+    "raw, field, value",
+    [
+        ({"a": 1.5}, ("a", NUMBER), 1.5),
+        ({"a": 2}, ("a", NUMBER), 2),
+        ({"a": None}, ("a", NUMBER, None), None),
+        ({}, ("a", NUMBER, None), None),
+        ({}, ("a", STRING, "d"), "d"),
+        ({"a": [1, 2.0, 3]}, ("a", NUMBERS3), [1, 2.0, 3]),
+    ],
+)
+def test_read_fields_gives_the_value_or_the_default(raw, field, value):
+    assert read_fields(raw, "f.json: record #0", (field,)) == [value]
+
+
+@pytest.mark.parametrize(
+    "raw, field, message",
+    [
+        ({"a": True}, ("a", NUMBER), "'a' must be a number"),
+        ({"a": math.nan}, ("a", NUMBER), "'a' must be a number"),
+        ({"a": -math.inf}, ("a", NUMBER), "'a' must be a number"),
+        ({"a": 10**400}, ("a", NUMBER), "'a' must be a number"),
+        ({"a": None}, ("a", NUMBER), "'a' must be a number"),
+        ({}, ("a", NUMBER), "missing mandatory field 'a'"),
+        ({"a": "x"}, ("a", NUMBER, None), "'a' must be a number or null"),
+        ({"a": None}, ("a", STRING, ""), "'a' must be a string"),
+        ({"a": 0}, ("a", POSITIVE), "'a' must be a positive integer"),
+        ({"a": [1, 2]}, ("a", NUMBERS3), "'a' must be 3 numbers"),
+        ({"a": [[1, 0, 0], [0, 1, 0], [0, 0, True]]}, ("a", MATRIX),
+         "'a' must be a 3x3 matrix of numbers"),
+        ({"a": [[1, 0, 0], [0, 1, 0]]}, ("a", MATRIX), "'a' must be a 3x3 matrix of numbers"),
+    ],
+)
+def test_read_fields_names_where_and_the_key(raw, field, message):
+    with pytest.raises(DatasetError) as info:
+        read_fields(raw, "f.json: record #0", (field,))
+    assert str(info.value) == f"f.json: record #0: {message}"
+
+
+def test_read_fields_keeps_the_order_of_the_fields():
+    fields = (("a", NUMBER), ("c", STRING, "d"), ("b", STRING))
+    assert read_fields({"b": "x", "a": 1}, "w", fields) == [1, "d", "x"]
+
+
+def _cn0_document():
+    return build_system(find_defect(load_defect_dataset(), "CN0")).to_dict()
+
+
+# A path into a CN0 to_dict() document, the value put there, and the message
+# from_dict raises after "cn0.json: ".
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ((), [], "expected a system object"),
+        (("label",), None, "'label' must be a string"),
+        (("g_tensor",), [[2, 0, 0], [0, 2, 0]], "'g_tensor' must be a 3x3 matrix of numbers"),
+        (("g_tensor", 0, 1), 1.0, "g_tensor must be a symmetric 3x3 matrix"),
+        (("sites",), [1], "'sites' must be a list of objects"),
+        (("sites", 2, "isotope"), "12B", "site #2: unknown isotope '12B'"),
+        (("sites", 2, "isotope"), "13C", "site #2: 'isotope' 13C is not an isotope of B"),
+        (("sites", 2, "frame", 0, 0), 1e308, "site #2: frame is not orthonormal"),
+        (("sites", 2, "principal_values", 1), math.nan,
+         "site #2: 'principal_values' must be 3 numbers"),
+        (("sites", 2, "efg"), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "site #2: efg must be traceless"),
+        (("sites", 2, "group_id"), None, "site #2: 'group_id' must be a string"),
+    ],
+)
+def test_from_dict_names_the_site_and_the_field(path, value, message):
+    doc = _cn0_document()
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    with pytest.raises(DatasetError) as info:
+        SpinSystem.from_dict(doc, "cn0.json")
+    assert str(info.value).startswith(f"cn0.json: {message}")
+
+
+def test_from_dict_reads_what_to_dict_writes_without_optional_fields():
+    doc = _cn0_document()
+    for site in doc["sites"]:
+        del site["efg"], site["group_id"]
+    clone = SpinSystem.from_dict(doc)
+    assert [(s.efg, s.group_id) for s, _ in clone.sites] == [(None, "")] * len(doc["sites"])
+
+
+def test_dataset_names_the_defect_whose_site_refuses_a_value(tmp_path):
+    doc = json.loads(read_text(dataset_path("defects"), "dataset"))
+    index = next(i for i, r in enumerate(doc["defects"]) if r["label"] == "CB0")
+    doc["defects"][index]["sites"][1]["efg"][0] = 1.5      # the trace is no longer 0
+    path = tmp_path / "defects.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError) as info:
+        load_defect_dataset(str(path))
+    assert str(info.value) == f"{path}: defect #{index}: efg must be traceless"
