@@ -256,7 +256,10 @@ def build_hamiltonian(
     h = np.zeros((n, n), dtype=complex)
 
     if "ezi" in mask:
-        heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ b)
+        with np.errstate(over="ignore"):           # an overflow is refused below
+            heff = ELECTRON_ZEEMAN_MHZ_PER_G * (system.g_tensor.T @ b)
+        if not np.isfinite(heff).all():
+            raise ValueError("electron Zeeman frequency overflows: g tensor or field too large")
         local = sum(heff[a] * electron.component(a) for a in range(3))
         _add_local(h, dims, (0,), local)
 

@@ -44,6 +44,7 @@ fresh, so a caller may modify it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -329,6 +330,16 @@ def _shift_distribution(tables) -> tuple[np.ndarray, np.ndarray]:
     return shifts, _fold_probabilities(structure)
 
 
+def _warn(message: str):
+    """Warn at the caller of the public function: the first frame outside the
+    package's library modules (``cli`` calls the library, so it counts)."""
+    frame, level = sys._getframe(1), 2
+    while (frame.f_back is not None and frame.f_globals.get("__package__") == __package__
+           and not frame.f_code.co_filename.endswith("cli.py")):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 class ShiftDistribution:
     """Carrier lines convolved with the shifts of independent sites, mixed
     over parts: the one model under every perturbative solver.
@@ -365,7 +376,7 @@ class ShiftDistribution:
         columns = []
         for probability, nu_e, tables, messages in self.parts:
             for message in messages:
-                warnings.warn(message, stacklevel=3)
+                _warn(message)
             carrier = None if carriers is None else carriers()
             shifts, probs = _shift_distribution(tables)
             if carrier is None:
@@ -389,7 +400,8 @@ class ShiftDistribution:
         moments only while the window cuts none: ``None`` unless each part's
         extremes, nu_e + shift + sum_k min t_k or max t_k, lie over
         (sites + 1) * ``_SHIFT_TOLERANCE`` inside it (grouping equal tables
-        moves no line past them) and a probability is > 0.
+        moves no line past them) and a probability is > 0. Moments past the
+        float range raise ``ValueError``; the warnings come after that check.
         """
         moments = []
         inside = True
@@ -400,15 +412,22 @@ class ShiftDistribution:
             inside = inside and (lo + margin < base + sum(map(min, tables))
                                  and base + sum(map(max, tables)) < hi - margin)
             means = [sum(t) / len(t) for t in tables]
-            spread = sum(sum((v - m) ** 2 for v in t) / len(t) for t, m in zip(tables, means))
-            moments.append((probability, base + sum(means), spread))
-        total = sum(p for p, _, _ in moments)
+            moments.append((probability, base + sum(means), tables, means))
+        total = sum(p for p, *_ in moments)
         if not (inside and total > 0):
             return None
+        center = sum(p * mean for p, mean, *_ in moments) / total
+        try:                # a Python float square past the float range raises
+            sigma = math.sqrt(sum(
+                p * (sum(sum((v - m) ** 2 for v in t) / len(t) for t, m in zip(tables, means))
+                     + (mean - center) ** 2)
+                for p, mean, tables, means in moments) / total)
+        except OverflowError:
+            sigma = math.inf
+        if not math.isfinite(center + sigma):
+            raise ValueError("hyperfine tensor too large: the line moments overflow")
         for message in (m for *_, messages in self.parts for m in messages):
-            warnings.warn(message, stacklevel=3)
-        center = sum(p * mean for p, mean, _ in moments) / total
-        sigma = math.sqrt(sum(p * (var + (mean - center) ** 2) for p, mean, var in moments) / total)
+            _warn(message)
         return center, sigma
 
     def sample(self, count: int, seed) -> np.ndarray:
@@ -416,7 +435,7 @@ class ShiftDistribution:
         projection drawn uniformly, site by site, by ``default_rng(seed)``."""
         (_, nu_e, tables, messages), = self.parts
         for message in messages:
-            warnings.warn(message, stacklevel=3)
+            _warn(message)
         rng = np.random.default_rng(seed)
         freqs = np.full(count, nu_e)
         for table in tables:

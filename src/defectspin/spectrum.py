@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .isotopes import GAUSSIAN_FWHM_FACTOR
 from .solvers import MODE_FULL, LineList, ShiftDistribution
@@ -27,7 +26,6 @@ DEFAULT_LINE_WIDTH = 1.0                # MHz FWHM per line
 # Kernel half-width in standard deviations. Past it a Gaussian is below
 # exp(-KERNEL_REACH**2 / 2) = exp(-40.5) ~ 2.6e-18 of its own peak.
 KERNEL_REACH = 9.0
-_CHUNK_VALUES = 1 << 20                 # kernel values evaluated per batch
 
 # Fixed header key order so identical runs serialize byte-identically.
 _HEADER_KEYS = ("field", "method", "seed", "shift", "window")
@@ -92,22 +90,29 @@ def peak_stats(lines: LineList, window=DEFAULT_WINDOW) -> PeakStats:
     window that cuts lines off copies the lines inside it. (Masking the
     sums instead would change their summation order, and so their bits.)
     The smallest and largest frequency tell which case holds, so the
-    membership mask is built only when the window cuts lines off.
+    membership mask is built only when the window cuts lines off. Clipped to
+    the window, they bound the sums: moments that would overflow raise
+    ``ValueError`` before any is taken.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     mass = lines.weights * lines.intensities
     f = lines.frequencies
-    if f.size == 0 or (lo <= f.min() and f.max() <= hi):
+    f_lo, f_hi = (float(f.min()), float(f.max())) if f.size else (lo, hi)
+    if lo <= f_lo and f_hi <= hi:
         m = mass
         m_sum = total = float(m.sum())
     else:
         inside = (f >= lo) & (f <= hi)
         m, f = mass[inside], f[inside]
         total, m_sum = float(mass.sum()), float(m.sum())
+        f_lo, f_hi = max(lo, f_lo), min(hi, f_hi)
     if m.size == 0 or m_sum <= 0.0:
         raise ValueError("no line with positive mass inside the analysis window")
+    span = f_hi - f_lo      # each |f - center| <= span, each |f| <= |f_lo| + |f_hi|
+    if not 2.0 * (span * span + abs(f_lo) + abs(f_hi)) * m_sum < math.inf:
+        raise ValueError("line frequencies too large: their moments overflow")
     center = float((m * f).sum() / m_sum)
     d = f - center          # m * (f - center)**2, in place: the same bits
     d *= d
@@ -158,13 +163,15 @@ def synthesize(
 
     Kernel area is proportional to weight times intensity and
     ``per_line_width`` is the per-line FWHM in MHz. Each kernel is
-    evaluated on the ``2*ceil(KERNEL_REACH*sigma/step) + 1`` grid points
+    evaluated on the W = ``2*ceil(KERNEL_REACH*sigma/step) + 1`` grid points
     around its line (the whole grid when that is wider), which covers every
     grid point within 9 sigma of the line; a line off the grid lands on the
-    points at the nearest edge. A term left out is below exp(-40.5) ~ 2.6e-18
-    of its line's largest value on the grid, so after normalization each
-    point is off the full sum by at most 2.6e-18 times the number of lines.
-    A point farther than 9 sigma from every line is exactly 0.
+    points at the nearest edge. Pass k of W vectorized passes over the lines
+    gives each line's value at its k-th point, so a kernel as wide as the
+    grid costs the most. A term left out is below exp(-40.5) ~ 2.6e-18 of its
+    line's largest value on the grid, so after normalization each point is
+    off the full sum by at most 2.6e-18 times the number of lines. A point
+    farther than 9 sigma from every line is exactly 0.
 
     Raises ``ValueError`` for a grid that is empty, not finite or not
     uniform, and for lines with a non-finite frequency or mass.
@@ -198,25 +205,16 @@ def synthesize(
     starts = np.clip(
         np.rint((freqs - g[0]) / step) - width // 2, 0, n - width
     ).astype(np.intp)
-    order = np.argsort(starts)
-    starts, freqs, mass = starts[order], freqs[order], mass[order]
-    windows = sliding_window_view(g, width)
-    offsets = np.arange(width)
-    chunk = max(1, _CHUNK_VALUES // width)
-    for lo in range(0, freqs.size, chunk):
-        s = starts[lo : lo + chunk]
-        # mass * exp(-(g - f)**2 / (2 sigma**2)), in place in one buffer.
-        kernel = windows[s] - freqs[lo : lo + chunk, None]
-        np.square(kernel, out=kernel)
-        kernel /= -2.0 * sig * sig
-        np.exp(kernel, out=kernel)
-        kernel *= mass[lo : lo + chunk, None]
-        # Sum the lines that share a window before scattering: one row per
-        # distinct start, so a grid-wide window costs what a dense sum does.
-        heads = np.flatnonzero(np.diff(s, prepend=-1))
-        rows = np.add.reduceat(kernel, heads, axis=0)
-        idx = s[heads, None] + offsets
-        out += np.bincount(idx.ravel(), weights=rows.ravel(), minlength=n)
+    # One pass per kernel offset k: every line's value at its k-th window
+    # point, mass * exp(-(g - f)**2 / (2 sigma**2)), summed by window start.
+    slots = n - width + 1                       # window starts
+    for k in range(width):
+        x = g[starts + k] - freqs
+        x *= x
+        x /= -2.0 * sig * sig
+        np.exp(x, out=x)
+        x *= mass
+        out[k : k + slots] += np.bincount(starts, weights=x, minlength=slots)
     peak = out.max()
     if peak > 0:
         out /= peak

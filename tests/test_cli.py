@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -462,6 +463,8 @@ def test_strong_coupling_warns_once_on_every_perturbative_path(tmp_path, defect,
     assert len(warned) == 1, done.stderr
     assert len(errors) == (1 if code else 0), done.stderr
     assert all(warned[0] < k for k in errors)
+    # It points at the CLI line that called the library, not inside it.
+    assert re.search(r"[/\\]cli\.py:\d+: UserWarning: ", lines[warned[0]]), done.stderr
 
 
 def test_warnings_print_once_across_main_calls_in_one_process():

@@ -899,6 +899,21 @@ def test_strong_coupling_warns_once_with_its_site_index():
     assert caught[0].filename == __file__          # points at the caller
 
 
+# Public functions that reach the shift distribution through another public
+# function: the warning still points at their own caller.
+@pytest.mark.parametrize("solve", [
+    lambda system: sample_configurations(system, FIELD),
+    lambda system: sample_configurations(system, FIELD, enumeration_threshold=1),
+    lambda system: hybrid_solve(system, (), FIELD),
+], ids=["enumerated", "sampled", "hybrid-no-exact-site"])
+def test_strong_coupling_warns_at_the_caller_of_every_public_function(solve):
+    system = SpinSystem("t", ((_site("C", (12.1, 12.1, 231.3)), lookup("13C")),))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        solve(system)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_grouping_joins_the_first_matching_head():
     # a ~ b and b ~ c within the 1e-9 MHz tolerance, but a !~ c: c heads its
     # own group, because b joined a. x, of another size, sits between.

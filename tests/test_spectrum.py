@@ -192,6 +192,21 @@ _LINE = st.tuples(
 )
 
 
+def _placed(specs, grid, width):
+    """Frequencies and masses of ``_LINE`` draws on ``grid``."""
+    lo, hi = grid[0], grid[-1]
+    reach = (KERNEL_REACH + 1e-6) * width / GAUSSIAN_FWHM_FACTOR
+    place = {
+        "inside": lambda u: lo + u * (hi - lo),
+        "low-edge": lambda u: lo,
+        "high-edge": lambda u: hi,
+        "below": lambda u: lo - reach * (1.0 + 3.4 * u),
+        "above": lambda u: hi + reach * (1.0 + 3.4 * u),
+    }
+    freqs = np.array([place[where](u) for where, u, _ in specs])
+    return freqs, np.array([w for _, _, w in specs])
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     start=st.floats(-100.0, 100.0),
@@ -206,26 +221,40 @@ _LINE = st.tuples(
          specs=[("inside", 0.0, 1.0), ("below", 0.5, 0.2)])          # one point
 @example(start=0.0, log_step=-1.0, count=20, log_width=308.0,
          specs=[("inside", 0.5, 1.0)])                    # 9 sigma overflows
+@example(start=-3.0, log_step=-1.0, count=100, log_width=0.0,
+         specs=[("inside", 0.5, 1.0)] * 30 + [("inside", 0.5001, 0.7)]
+         + [("low-edge", 0.0, 0.3), ("below", 0.2, 0.5), ("below", 0.9, 0.1)])  # shared starts
 def test_synthesize_matches_dense_sum(start, log_step, count, log_width, specs):
     step, width = 10.0 ** log_step, 10.0 ** log_width
     grid = np.arange(start, start + (count - 0.5) * step, step)
     assert grid.size == count
-    lo, hi = grid[0], grid[-1]
-    reach = (KERNEL_REACH + 1e-6) * width / GAUSSIAN_FWHM_FACTOR
-    place = {
-        "inside": lambda u: lo + u * (hi - lo),
-        "low-edge": lambda u: lo,
-        "high-edge": lambda u: hi,
-        "below": lambda u: lo - reach * (1.0 + 3.4 * u),
-        "above": lambda u: hi + reach * (1.0 + 3.4 * u),
-    }
-    freqs = np.array([place[where](u) for where, u, _ in specs])
-    mass = np.array([w for _, _, w in specs])
+    freqs, mass = _placed(specs, grid, width)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = synthesize(_lines(freqs, weights=mass), grid, per_line_width=width)
     expected = _dense_reference(freqs, mass, grid, width)
     np.testing.assert_allclose(spec.intensity, expected, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_step=st.floats(-2.0, 0.7),
+    count=st.integers(1, 300),
+    log_width=st.floats(-2.0, 2.0),
+    specs=st.lists(_LINE, min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_synthesize_is_independent_of_line_order(log_step, count, log_width, specs, data):
+    step, width = 10.0 ** log_step, 10.0 ** log_width
+    grid = step * np.arange(count)
+    freqs, mass = _placed(specs, grid, width)
+    order = np.array(data.draw(st.permutations(range(freqs.size))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spec = synthesize(_lines(freqs, weights=mass), grid, per_line_width=width)
+        shuffled = synthesize(_lines(freqs[order], weights=mass[order]), grid,
+                              per_line_width=width)
+    np.testing.assert_allclose(shuffled.intensity, spec.intensity, rtol=0.0, atol=1e-12)
 
 
 def test_shift_linelist_moves_frequencies_and_records():
