@@ -71,7 +71,7 @@ from .system import (
     dataset_path,
     dataset_version,
     find_defect,
-    load_defect_dataset,
+    load_versioned_dataset,
     read_json,
 )
 
@@ -164,14 +164,17 @@ def _label(args) -> str:
     return args.defect or os.path.basename(args.system_path or "system")
 
 
-def _resolve_system(args) -> SpinSystem:
+def _resolve_system(args) -> tuple[SpinSystem, str | None]:
+    """The run's system and the version of the defect dataset it came from
+    (``None`` for ``--system``: the dataset was not read)."""
     if args.system_path:
-        return SpinSystem.from_dict(read_json(args.system_path, "system file"), args.system_path)
+        system = SpinSystem.from_dict(read_json(args.system_path, "system file"), args.system_path)
+        return system, None
     if not args.defect:
         raise UsageError("either --defect or --system is required")
-    records = load_defect_dataset(dataset_path("defects", args.data_dir))
+    records, version = load_versioned_dataset(dataset_path("defects", args.data_dir))
     record = find_defect(records, args.defect)
-    return build_system(record, {"C": "13C"} if args.carbon13 else None)
+    return build_system(record, {"C": "13C"} if args.carbon13 else None), version
 
 
 def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
@@ -268,14 +271,17 @@ def _peak_stats(args, method: str, parts, solve):
     return peak_stats(lines, args.window), lines
 
 
-def _export_meta(args) -> dict:
-    """Export header: every setting but the config and export paths."""
+def _export_meta(args, version: str | None) -> dict:
+    """Export header: every setting but the config and export paths, and the
+    dataset ``version`` (read here when ``None``)."""
     meta = {}
     skip = ("config", "out_lines", "out_spectrum")
     for key, value in vars(args).items():
         if value is not None and key not in skip:
             meta[key] = list(value) if isinstance(value, tuple) else value
-    meta["dataset_version"] = dataset_version(dataset_path("defects", args.data_dir))
+    if version is None:
+        version = dataset_version(dataset_path("defects", args.data_dir))
+    meta["dataset_version"] = version
     return meta
 
 
@@ -307,11 +313,11 @@ def _print_table(title: str, header: dict, rows, fmt: str):
 
 
 def cmd_odmr(args) -> int:
-    system = _resolve_system(args)
+    system, version = _resolve_system(args)
     parts, solve = _run_pipeline(args, system)
     exports = args.out_lines or args.out_spectrum       # they need the lines themselves
     stats, lines = _peak_stats(args, args.method, None if exports else parts, solve)
-    meta = _export_meta(args) if exports or args.fmt == "csv" else None
+    meta = _export_meta(args, version) if exports or args.fmt == "csv" else None
     values = {
         "center_MHz": stats.center,
         "sigma_MHz": stats.sigma,
@@ -338,7 +344,7 @@ def cmd_odmr(args) -> int:
 
 
 def cmd_compare_methods(args) -> int:
-    system = _resolve_system(args)
+    system, _ = _resolve_system(args)
     rows = []
     for label, method, subset_terms in LADDER:
         solve = functools.partial(_solve, args, system, method, subset_terms)
@@ -359,7 +365,7 @@ def cmd_compare_methods(args) -> int:
 
 
 def cmd_isotopes(args) -> int:
-    system = _resolve_system(args)
+    system, _ = _resolve_system(args)
     if args.pattern:
         patterns = [_parse_pattern(args, system)]
         symbols = [symbol for symbol, _ in patterns[0].counts[0][1]]   # its one group

@@ -62,7 +62,7 @@ from .hamiltonian import (
     normalize_terms,
 )
 from .isotopes import ELECTRON_ZEEMAN_MHZ_PER_G
-from .system import SpinSystem
+from .system import SpinSystem, axial_frame
 
 INTENSITY_FLOOR = 1e-6          # relative to the strongest line
 ENUMERATION_THRESHOLD = 10**6   # configurations before sampling; classes before raising
@@ -75,9 +75,17 @@ _SHIFT_TOLERANCE = 1e-9
 _DEGENERACY_TOLERANCE = 1e-11
 # Block eigenvectors of levels at most this times max |E| apart are refined
 # (``_sharpen``); the rest mix by about eps / _CLOSE_GAP (2e-10) at most.
-# CN0 along c has 1-2 such pairs per block at 150-300 G; below 1e-4 it has
-# dozens, and refining those would cost more than the eigh.
+# CN0's parity blocks along c hold 1-2 such pairs at 150-300 G, and dozens
+# below 1e-4, where refining would cost more than the eigh; its threefold
+# sectors hold none (no two levels closer than 3.6e-5, with or without 13C
+# and EFGs).
 _CLOSE_GAP = 1e-6
+# A site is another's image (or its own) under the 120-degree turn about c
+# when its tensors equal the other's turned to this fraction of their largest
+# entry: far above the rounding of the bundled frames (1e-16), far below any
+# physical difference. The part of H the turn misses is ignored, and it moves
+# no level by more than this fraction of the largest coupling.
+_SYMMETRY_TOLERANCE = 1e-12
 
 MODE_FULL = "full_tensor"
 MODE_ACONST = "a_constants"
@@ -498,18 +506,245 @@ def _full_pairs(h: HamiltonianMatrix, floor: float) -> tuple[np.ndarray, np.ndar
     return energies[fi] - energies[ii], moments[ii, fi]
 
 
+class _Split(NamedTuple):
+    """Sectors of the basis that H does not mix (read-only arrays).
+
+    Row k < ``sizes[s]`` of sector s is the orbit sum of basis state
+    ``rows[s, k]`` (the state itself when nothing is turned); the rows past
+    it pad every sector to one length, with zero weights and scales. H's
+    block of sector s is the leading ``sizes[s]`` square of
+    ``scales[s, :, None] * sum_l H[rows[s, :, None], cols[s, l]] * weights[s, l]``.
+    With ``bases``, Z^H block Z is real for the columns of Z = ``bases[s]``.
+    Sector s lies on the parity side ``sides[s]``, and its row k at
+    ``places[s, k]`` of that side: the rows at one place on the two sides are
+    electron-flip partners. S_x flips the electron and so the parity, so with
+    U_even and U_odd holding each side's eigenvectors by place,
+    <odd f|S_x|even i> = (U_odd^H U_even)[f, i] / 2.
+    """
+
+    rows: np.ndarray            # (sectors, length)
+    cols: np.ndarray            # (sectors, lags, length)
+    weights: np.ndarray         # (sectors, lags, length)
+    scales: np.ndarray          # (sectors, length)
+    places: np.ndarray          # (sectors, length)
+    bases: np.ndarray | None    # (sectors, length, length)
+    sides: tuple
+    sizes: tuple
+
+
+def _frozen_split(sectors, bases=()) -> _Split:
+    """``_Split`` of (side, rows, cols, weights, scales, places) per sector,
+    and of ``bases`` (a square per sector, or none), empty sectors left out,
+    padded with zeros to the longest, read-only."""
+    live = [k for k, sector in enumerate(sectors) if sector[1].size]
+    sides, *arrays = zip(*(sectors[k] for k in live))
+    sizes = tuple(rows.size for rows in arrays[0])
+    length = max(sizes)
+    stacked = []
+    for column in arrays:
+        padded = np.zeros((len(live), *column[0].shape[:-1], length), column[0].dtype)
+        for target, a in zip(padded, column):
+            target[..., : a.shape[-1]] = a
+        stacked.append(padded)
+    if bases:
+        stacked.append(np.zeros((len(live), length, length), dtype=complex))
+        for target, k in zip(stacked[-1], live):
+            target[: bases[k].shape[0], : bases[k].shape[1]] = bases[k]
+    for a in stacked:
+        a.flags.writeable = False
+    return _Split(*stacked[:5], stacked[5] if bases else None, sides, sizes)
+
+
 @lru_cache(maxsize=32)
-def _parity_split(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the even and the odd parity block, listed by nuclear index
-    so that electron-flip partners align (see ``_block_pairs``)."""
+def _parity_split(dims: tuple[int, ...]) -> _Split:
+    """The even and the odd parity block, each listed by nuclear index: row k
+    of one is the electron-flipped partner of row k of the other."""
     half = math.prod(dims) // 2
     q = np.zeros(1, dtype=np.intp)
     for d in dims[1:]:
         q = (q[:, None] + np.arange(d)).ravel()
     even = (q & 1) * half + np.arange(half)
     odd = (even + half) % (2 * half)
-    even.flags.writeable = odd.flags.writeable = False
-    return even, odd
+    return _frozen_split([(side, rows, rows[None], np.ones((1, half)), np.ones(half),
+                           np.arange(half)) for side, rows in enumerate((even, odd))])
+
+
+def _moved_states(dims: tuple[int, ...], images) -> np.ndarray:
+    """Where moving site k's state to site ``images[k]`` takes each basis state."""
+    digits = np.indices(dims).reshape(len(dims), -1)
+    moved = np.empty_like(digits)
+    moved[[0, *(k + 1 for k in images)]] = digits
+    return np.ravel_multi_index(tuple(moved), dims)
+
+
+@lru_cache(maxsize=32)
+def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> _Split:
+    """The six sectors of C x parity, C the turn that moves site k's state to
+    site ``images[k]`` and multiplies basis state b by omega**n_b, n_b its
+    sum of factor indices (J_z = max J_z - n_b). C and parity commute, and so
+    does H when the turn maps it to itself (``_sectors``).
+
+    Sector r holds the eigenvalue omega**q, q = r % 3, of C and parity r % 2.
+    Each orbit b, C b, C^2 b of three states gives one row to every sector of
+    its parity, (1/sqrt 3) sum_l omega**((n_b - q) l) |C^l b>; a state C fixes
+    gives its own row to sector n_b % 6. Rows are listed by state, so the
+    electron-up rows come first. S_x flips the electron, which moves n_b by
+    one and keeps the orbit's phases: the up rows of sector r are the
+    partners, in order, of the down rows of sector r + 1 (mod 6). So the even
+    side holds sectors 0, 2 and 4 in turn, and each row of an odd sector
+    takes the place of its partner.
+
+    The ``mirror`` images of ``_mirror_images`` (or ``None``) give the
+    antiunitary T = M K, K complex conjugation (S_y -> -S_y) and M the
+    mirror's move of site states. T commutes with H and with S_x, and
+    T C T^-1 = C^-1, so T keeps each sector, taking row b to a phase times
+    row m (the orbit of M b). The rows b = m, times sqrt(phase), and the pairs
+    (b + phase m) / sqrt 2, i (b - phase m) / sqrt 2, are fixed by T: in that
+    basis Z each block is real (Wigner's real form of an antiunitary
+    symmetry). S_x keeps the phases and pairs of partner rows, so Z is one
+    unitary on each side's places and the moments need no Z at all:
+    <odd f|S_x|even i> = (W_odd^T W_even)[f, i] / 2 with the real
+    eigenvectors W placed as U would be.
+    """
+    n = math.prod(dims)
+    step = _moved_states(dims, images)                  # C takes state b to step[b]
+    orbits = np.stack((np.arange(n), step, step[step]))
+    rep = orbits.min(axis=0)
+    reps = np.flatnonzero(rep == orbits[0])
+    fixed = step[reps] == reps
+    level = np.indices(dims).reshape(len(dims), n).sum(axis=0)     # n_b
+    omega = np.exp(2j * math.pi / 3.0 * np.arange(3))   # omega**k for k = 0, 1, 2
+    mirrored = None if mirror is None else _moved_states(dims, mirror)
+    sectors, bases = [], []
+    for r in range(6):
+        q = r % 3
+        rows = reps[(level[reps] % 2 == r % 2) & (~fixed | (level[reps] % 3 == q))]
+        scales = np.where(step[rows] == rows, 1.0 / math.sqrt(3.0), 1.0)
+        phases = omega[(level[rows] - q) * np.arange(3)[:, None] % 3]
+        sectors.append([r % 2, rows, orbits[:, rows], scales * phases, scales])
+        if mirrored is not None:
+            image = mirrored[rows]                              # M b = C**lag m
+            twin = np.searchsorted(rows, rep[image])
+            lag = np.argmax(orbits[:, rep[image]] == image, axis=0)
+            phase = omega[-(level[rows] - q) * lag % 3]
+            basis = np.zeros((rows.size, rows.size), dtype=complex)
+            b = np.arange(rows.size)
+            alone, first = twin == b, twin > b
+            basis[b[alone], b[alone]] = np.sqrt(phase[alone])
+            b, m, phase = b[first], twin[first], phase[first] / math.sqrt(2.0)
+            basis[b, b], basis[m, b] = 1.0 / math.sqrt(2.0), phase      # (b + phase m) / sqrt 2
+            basis[b, m], basis[m, m] = 1j / math.sqrt(2.0), -1j * phase  # i (b - phase m) / sqrt 2
+            bases.append(basis)
+    sizes = [rows.size for _, rows, *_ in sectors]
+    ups = [np.count_nonzero(rows < n // 2) for _, rows, *_ in sectors]
+    starts = {0: 0, 2: sizes[0], 4: sizes[0] + sizes[2]}
+    for r, sector in enumerate(sectors):
+        above, below = (r + 1) % 6, (r - 1) % 6     # even sectors of the partners
+        sector.append(starts[r] + np.arange(sizes[r]) if r % 2 == 0 else np.concatenate((
+            starts[above] + ups[above] + np.arange(ups[r]),
+            starts[below] + np.arange(sizes[r] - ups[r]))))
+    return _frozen_split(sectors, bases)
+
+
+def _site_moves(sites, tensors: np.ndarray, mapped: np.ndarray) -> np.ndarray:
+    """moves[k, j]: a map takes site k to site j. Both carry one isotope, and
+    j's hyperfine and EFG ``tensors`` are k's ``mapped``, each to
+    ``_SYMMETRY_TOLERANCE`` of k's largest entry; a spinless site stays."""
+    limits = _SYMMETRY_TOLERANCE * np.abs(tensors).max(axis=(2, 3))
+    moves = (np.abs(tensors[None] - mapped[:, None]).max(axis=(3, 4)) <= limits[:, None]).all(-1)
+    for k, (_, iso) in enumerate(sites):
+        moves[k] &= [iso == other for _, other in sites]
+        if iso.spin == 0.0:                     # no term to map
+            moves[k] = moves[:, k] = False
+            moves[k, k] = True
+    return moves
+
+
+def _site_tensors(sites) -> np.ndarray:
+    """The hyperfine and EFG tensor of each site (a missing EFG counts as zero)."""
+    return np.array([(site.hyperfine_tensor(), np.zeros((3, 3)) if site.efg is None
+                      else site.efg) for site, _ in sites]).reshape(-1, 2, 3, 3)
+
+
+@lru_cache(maxsize=32)
+def _threefold_images(sites) -> tuple[int, ...] | None:
+    """Where the 120-degree turn about c takes each of ``sites`` (``_site_moves``),
+    or ``None``. Sites are taken in order, each into a 3-cycle k -> j -> l -> k
+    of sites not yet placed if there is one (so a shell of equal sites axial
+    about c turns as a shell), else to itself; ``None`` when neither holds.
+    """
+    tensors = _site_tensors(sites)
+    turn = axial_frame(2.0 * math.pi / 3.0)
+    moves = _site_moves(sites, tensors, turn @ tensors @ turn.T)
+    images: list[int | None] = [None] * len(sites)
+    for k in range(len(sites)):
+        if images[k] is not None:
+            continue
+        free = [j for j in range(len(sites)) if images[j] is None and j != k]
+        cycle = next(((j, l) for j in free if moves[k, j] for l in free
+                      if l != j and moves[j, l] and moves[l, k]), None)
+        if cycle is not None:
+            images[k], images[cycle[0]], images[cycle[1]] = cycle[0], cycle[1], k
+        elif moves[k, k]:
+            images[k] = k
+        else:
+            return None
+    return tuple(images)
+
+
+@lru_cache(maxsize=32)
+def _mirror_images(sites, turn: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Where the mirror y -> -y takes each of ``sites`` (``_site_moves``) when
+    it maps each orbit of the ``turn`` of ``_threefold_images`` to itself,
+    or ``None``. Under the parity of ``_sectors`` (c a principal axis of every
+    tensor, so a half turn about c changes none) this tests every mirror
+    plane through c at a multiple of 30 degrees from the xz plane.
+
+    On a 3-cycle a -> turn(a) -> turn**2(a) such a mirror is a reflection: it
+    fixes one site b and takes turn**t(a) to turn**-t(b). A site the turn
+    fixes is axial about c and stays.
+    """
+    tensors = _site_tensors(sites)
+    flip = np.diag([1.0, -1.0, 1.0])
+    moves = _site_moves(sites, tensors, flip @ tensors @ flip)
+    powers = [tuple(range(len(sites))), turn, tuple(turn[k] for k in turn)]
+    images: list[int | None] = [None] * len(sites)
+    for a in range(len(sites)):
+        if images[a] is not None:
+            continue
+        orbit = sorted({power[a] for power in powers})
+        for b in orbit:
+            pairs = [(powers[t][a], powers[-t % 3][b]) for t in range(len(orbit))]
+            if all(moves[x, y] for x, y in pairs):
+                for x, y in pairs:
+                    images[x] = y
+                break
+        else:
+            return None
+    return tuple(images)
+
+
+def _sectors(h: HamiltonianMatrix, system: SpinSystem) -> _Split | None:
+    """The finest ``_Split`` known to hold for ``h``, or ``None``.
+
+    Parity (the sum of factor indices mod 2) holds when H has no entry
+    between its two blocks: B along c, with c a principal axis of g and of
+    every tensor. Row 0 holds the transverse Zeeman terms, so a tilted field
+    stops after O(n) work. With B along c (O(1)), g^T B is along c too, and
+    the 120-degree turn about c maps H to itself when it maps the sites to
+    themselves (``_threefold_images``): then H splits into six sectors, with
+    real blocks when a mirror through c maps the sites to themselves too.
+    """
+    parity = _parity_split(h.dims)
+    even, odd = parity.rows
+    if (h.matrix[0, odd].any() or h.matrix[np.ix_(even, odd)].any()
+            or h.matrix[np.ix_(odd, even)].any()):
+        return None
+    if h.field[0] == h.field[1] == 0.0:
+        images = _threefold_images(system.sites)
+        if images is not None:
+            return _threefold_split(h.dims, images, _mirror_images(system.sites, images))
+    return parity
 
 
 def _sharpen(a: np.ndarray, levels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -548,34 +783,48 @@ def _sharpen(a: np.ndarray, levels: np.ndarray, vectors: np.ndarray) -> np.ndarr
     return sharpened
 
 
-def _block_pairs(h: HamiltonianMatrix, floor: float):
-    """Frequencies and S_x moments of the parity-allowed pairs that pass
-    ``floor``, from two half-size ``eigh``s, or ``None`` when H does not
-    split or its spectrum has a gap within ``_DEGENERACY_TOLERANCE`` of
-    max |E|.
+def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
+    """Frequencies and S_x moments of the pairs across the parity sides that
+    pass ``floor``, from one small ``eigh`` per sector of ``_sectors``, or
+    ``None`` when H does not split or its spectrum has a gap within
+    ``_DEGENERACY_TOLERANCE`` of max |E|.
 
-    A basis state's parity is its sum of factor indices mod 2. Nuclear index
-    r gives one even state, (q(r), r), and its electron-flipped partner,
-    (1 - q(r), r), in the odd block, with q the nuclear parity: listing both
-    blocks by r aligns every partner pair, so <odd f|S_x|even i> =
-    (U_odd^H U_even)[f, i] / 2 and pairs within a block have no moment.
+    Each block is gathered from H's entries (``_Split``); orbit sums are
+    turned real by the split's ``bases`` when it has them and made exactly
+    symmetric, and parity blocks are H's own entries. The eigenvectors are
+    placed by row on their side, so one product gives every moment; pairs
+    of sectors that S_x does not link get exact zeros.
     """
-    even, odd = _parity_split(h.dims)
-    # Row 0 holds the transverse Zeeman terms: a tilted field stops here, O(n).
-    if (h.matrix[0, odd].any() or h.matrix[np.ix_(even, odd)].any()
-            or h.matrix[np.ix_(odd, even)].any()):
+    split = _sectors(h, system)
+    if split is None:
         return None
-    h_even, h_odd = h.matrix[np.ix_(even, even)], h.matrix[np.ix_(odd, odd)]
-    e_even, u_even = np.linalg.eigh(h_even)
-    e_odd, u_odd = np.linalg.eigh(h_odd)
-    merged = np.sort(np.concatenate((e_even, e_odd)))
+    gathered = h.matrix[split.rows[:, None, :, None], split.cols[:, :, None, :]]
+    gathered *= split.weights[:, :, None, :]
+    summed = gathered[:, 0]
+    if gathered.shape[1] > 1:           # orbit sums: each side of the diagonal rounds apart
+        summed += gathered[:, 1:].sum(axis=1)
+        summed *= split.scales[:, :, None]
+        if split.bases is not None:
+            summed = (split.bases.conj().transpose(0, 2, 1) @ summed @ split.bases).real
+        summed += summed.conj().transpose(0, 2, 1)
+        summed *= 0.5
+    blocks = [block[:size, :size] for block, size in zip(summed, split.sizes)]
+    solved = [np.linalg.eigh(block) for block in blocks]
+    merged = np.sort(np.concatenate([energies for energies, _ in solved]))
     if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
         return None
-    u_even = _sharpen(h_even, e_even, u_even)
-    u_odd = _sharpen(h_odd, e_odd, u_odd)
-    moments = np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2
+    half = h.dimension // 2
+    states = np.zeros((2, half, half), dtype=summed.dtype)
+    levels: list[list[np.ndarray]] = [[], []]
+    for block, (energies, vectors), side, places in zip(blocks, solved, split.sides, split.places):
+        start = sum(map(len, levels[side]))
+        states[side, places[: len(energies)], start:start + len(energies)] = _sharpen(
+            block, energies, vectors)
+        levels[side].append(energies)
+    even, odd = (np.concatenate(side) for side in levels)
+    moments = np.abs(0.5 * (states[1].conj().T @ states[0])) ** 2
     fi, ii = _kept_pairs(moments, floor)
-    return np.abs(e_odd[fi] - e_even[ii]), moments[fi, ii]
+    return np.abs(odd[fi] - even[ii]), moments[fi, ii]
 
 
 def exact_transitions(
@@ -595,15 +844,21 @@ def exact_transitions(
 
     When H has no element between the two parity blocks (B along c, with c
     a principal axis of g and of every tensor), the blocks are diagonalized
-    apart: two (n/2)^3 ``eigh``s and one (n/2)^3 moment product, a quarter
-    to a third of the full cost. Only the n^2/4 pairs across the blocks are
-    emitted; the pairs inside a block have a zero moment, so even a floor
-    of 0 returns none of them. A tilted field is found to mix the blocks
-    after O(n) work. A split spectrum with near-degenerate levels is solved
-    in full instead, so the floor sees the same moments as before. Inside a
-    block, the eigenvectors of close levels get one refinement step
-    (``_sharpen``), so the block moments do not inherit ``eigh``'s mixing of
-    those levels.
+    apart (``_sectors``): two (n/2)^3 ``eigh``s and one (n/2)^3 moment
+    product, a quarter to a third of the full cost. When, with B along c,
+    the 120-degree turn about c also maps the sites to themselves (the
+    bundled shells, with or without 13C and EFGs), each parity block splits
+    again into the three eigenspaces of the turn: six ``eigh``s of about n/6,
+    real ones when a mirror through c maps the sites to themselves too. Only
+    the n^2/4 pairs across the parity blocks are emitted; the pairs inside
+    one have a zero moment, so even a floor of 0 returns none of them, and
+    pairs between sectors that S_x does not link come with a moment of
+    exactly 0. A tilted field is found to mix the blocks after O(n) work.
+    A split spectrum with near-degenerate levels (CB0, whose three equal 14N
+    give levels degenerate across sectors) is solved in full instead, so the
+    floor sees the same moments as before. Inside a block, the eigenvectors
+    of close levels get one refinement step (``_sharpen``), so the block
+    moments do not inherit ``eigh``'s mixing of those levels.
 
     Raises ``ValueError`` when ``intensity_floor`` is not a number in
     [0, 1] (NaN included) or ``system`` does not match ``h``'s layout.
@@ -613,7 +868,8 @@ def exact_transitions(
     dims = (2,) + system.site_dimensions()
     if dims != h.dims:
         raise ValueError("system does not match the Hamiltonian's factor layout")
-    freqs, intens = _block_pairs(h, intensity_floor) or _full_pairs(h, intensity_floor)
+    pairs = _block_pairs(h, system, intensity_floor)
+    freqs, intens = pairs or _full_pairs(h, intensity_floor)
     # Complex keys sort by frequency, then intensity; tied pairs are equal.
     key = np.empty(freqs.size, dtype=complex)
     key.real, key.imag = freqs, intens

@@ -80,6 +80,17 @@ def _check_grid(grid: np.ndarray):
             raise ValueError("grid must be strictly increasing and uniform")
 
 
+def _line_mass(lines: LineList) -> tuple[np.ndarray, float]:
+    """Each line's mass, weight times intensity, and their sum; ``ValueError``
+    when a product or the sum overflows (both factors are finite and >= 0)."""
+    with np.errstate(over="ignore"):            # an overflow is refused below
+        mass = lines.weights * lines.intensities
+        total = float(mass.sum())
+    if not math.isfinite(total):
+        raise ValueError("line weights times intensities overflow")
+    return mass, total
+
+
 def peak_stats(lines: LineList, window=DEFAULT_WINDOW) -> PeakStats:
     """Weighted mean, standard deviation and Gaussian FWHM of the lines.
 
@@ -92,21 +103,20 @@ def peak_stats(lines: LineList, window=DEFAULT_WINDOW) -> PeakStats:
     The smallest and largest frequency tell which case holds, so the
     membership mask is built only when the window cuts lines off. Clipped to
     the window, they bound the sums: moments that would overflow raise
-    ``ValueError`` before any is taken.
+    ``ValueError`` before any is taken, and so does a mass that overflows.
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    mass = lines.weights * lines.intensities
+    mass, total = _line_mass(lines)
     f = lines.frequencies
     f_lo, f_hi = (float(f.min()), float(f.max())) if f.size else (lo, hi)
     if lo <= f_lo and f_hi <= hi:
-        m = mass
-        m_sum = total = float(m.sum())
+        m, m_sum = mass, total
     else:
         inside = (f >= lo) & (f <= hi)
         m, f = mass[inside], f[inside]
-        total, m_sum = float(mass.sum()), float(m.sum())
+        m_sum = float(m.sum())
         f_lo, f_hi = max(lo, f_lo), min(hi, f_hi)
     if m.size == 0 or m_sum <= 0.0:
         raise ValueError("no line with positive mass inside the analysis window")
@@ -174,7 +184,8 @@ def synthesize(
     farther than 9 sigma from every line is exactly 0.
 
     Raises ``ValueError`` for a grid that is empty, not finite or not
-    uniform, and for lines with a non-finite frequency or mass.
+    uniform, for lines with a non-finite frequency, and when a line's
+    weight times intensity, or their sum, overflows.
     """
     if not 0.0 < per_line_width < math.inf:
         raise ValueError("per_line_width must be positive and finite")
@@ -182,9 +193,9 @@ def synthesize(
     _check_grid(g)
     if g.size == 0:
         raise ValueError("grid must have at least one point")
-    mass = lines.weights * lines.intensities
-    if not (np.isfinite(lines.frequencies).all() and np.isfinite(mass).all()):
-        raise ValueError("line frequencies, weights and intensities must be finite")
+    if not np.isfinite(lines.frequencies).all():
+        raise ValueError("line frequencies must be finite")
+    mass, _ = _line_mass(lines)
     out = np.zeros(g.size)
     live = mass > 0
     freqs, mass = lines.frequencies[live], mass[live]

@@ -379,6 +379,11 @@ def read_json(path: str, what: str):
     return _parse_json(read_text(path, what), path)
 
 
+def _version(doc) -> str:
+    """The ``version`` of a parsed defect dataset; ``unversioned`` without one."""
+    return str(doc.get("version", "unversioned")) if isinstance(doc, dict) else "unversioned"
+
+
 def dataset_version(path: str | None = None) -> str:
     """The ``version`` of the defect dataset at ``path``; ``unversioned``
     when the file cannot be read or has no version (a bare list)."""
@@ -387,10 +392,7 @@ def dataset_version(path: str | None = None) -> str:
         text = read_text(path, "dataset")
     except DatasetError:
         return "unversioned"
-    doc = _dataset_document(path, text)
-    if not isinstance(doc, dict):
-        return "unversioned"
-    return str(doc.get("version", "unversioned"))
+    return _version(_dataset_document(path, text))
 
 
 def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
@@ -405,9 +407,16 @@ def load_defect_dataset(path: str | None = None) -> list[DefectRecord]:
     Every call reads the file, but a content parsed before is not parsed
     again: its records, which are immutable, are reused in a new list.
     """
+    return load_versioned_dataset(path)[0]
+
+
+def load_versioned_dataset(path: str | None = None) -> tuple[list[DefectRecord], str]:
+    """``load_defect_dataset`` and ``dataset_version`` of ``path`` from one
+    read of the file."""
     if path is None:
         path = dataset_path("defects")
-    return list(_parse_defects(path, read_text(path, "dataset")))
+    text = read_text(path, "dataset")
+    return list(_parse_defects(path, text)), _version(_dataset_document(path, text))
 
 
 # Keyed by content, not mtime: a file rewritten within one mtime tick to the

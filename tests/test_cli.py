@@ -334,6 +334,36 @@ def test_bare_list_dataset_is_unversioned(capsys, tmp_path, fmt):
         assert json.loads(out.splitlines()[0][2:])["dataset_version"] == "unversioned"
 
 
+@pytest.mark.parametrize("source", ["defect", "system"])
+@pytest.mark.parametrize("output", ["csv", "lines", "spectrum"])
+def test_exported_and_csv_odmr_read_the_dataset_once(capsys, tmp_path, monkeypatch, source,
+                                                     output):
+    # The export header's version comes from the read that gave the records;
+    # a --system run reads the dataset for its version only.
+    system = build_system(find_defect(load_defect_dataset(), "CN0"))
+    (tmp_path / "cn0.json").write_text(json.dumps(system.to_dict()))
+    argv = ["odmr", "--method", "perturb1", "--grid", "0,300,1"] + (
+        ["--defect", "CN0"] if source == "defect" else ["--system", str(tmp_path / "cn0.json")])
+    argv += {"csv": ["--format", "csv"], "lines": ["--out-lines", str(tmp_path / "l.txt")],
+             "spectrum": ["--out-spectrum", str(tmp_path / "s.txt")]}[output]
+    code, expected, err = _run(capsys, argv)
+    assert code == 0, err
+    reads = []
+    read_text = defectspin.system.read_text
+
+    def counted(path, what):
+        reads.append(path)
+        return read_text(path, what)
+
+    monkeypatch.setattr(defectspin.system, "read_text", counted)
+    exported = [p.read_bytes() for p in sorted(tmp_path.glob("?.txt"))]
+    assert _run(capsys, argv) == (0, expected, err)
+    assert [p.read_bytes() for p in sorted(tmp_path.glob("?.txt"))] == exported
+    assert reads.count(dataset_path("defects")) == 1
+    header = expected if output == "csv" else exported[0].decode()
+    assert "dataset_version" in header and "1.0.0" in header
+
+
 def test_unparsable_dataset_beside_a_system_file_exits_three(capsys, tmp_path):
     system = build_system(find_defect(load_defect_dataset(), "CN0"))
     path = tmp_path / "cn0.json"

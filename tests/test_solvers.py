@@ -325,7 +325,7 @@ def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
     # 14N give degenerate levels, and at zero field the levels are Kramers
     # pairs, so both are solved in full.
     blocks = label == "CN0" and field == (0.0, 0.0, 42.0)
-    assert (_block_pairs(h, INTENSITY_FLOOR) is not None) == blocks
+    assert (_block_pairs(h, sub, INTENSITY_FLOOR) is not None) == blocks
     if blocks:
         # A floor of 0 returns the n^2/4 pairs across the parity blocks and
         # none of the pairs inside a block, whose S_x moment is zero.
@@ -346,7 +346,7 @@ def test_exact_moments_match_dense_sx(label, carbon13, nqi, field):
 def test_cn0_blocks_match_the_full_solve_along_c(carbon13, nqi, magnitude):
     sub, h = _first_shell("CN0", carbon13, nqi, (0.0, 0.0, magnitude))
     assert not _off_block(h).any()
-    assert _block_pairs(h, INTENSITY_FLOOR) is not None
+    assert _block_pairs(h, sub, INTENSITY_FLOOR) is not None
     freqs, intens = _full_solve_lines(h)
     _assert_blocks_match(exact_transitions(h, sub), freqs, intens, h)
 
@@ -379,7 +379,7 @@ def test_full_solve_paths_stay_byte_identical_on_larger_subsystems(
 
 
 def _assert_full_solve_bytes(sub, h):
-    assert _block_pairs(h, INTENSITY_FLOOR) is None
+    assert _block_pairs(h, sub, INTENSITY_FLOOR) is None
     for floor in (INTENSITY_FLOOR, 0.0, 1.0):
         lines = exact_transitions(h, sub, intensity_floor=floor)
         freqs, intens = _full_solve_lines(h, floor)
@@ -395,7 +395,7 @@ def test_tilted_field_stops_the_split_test_at_row_zero(monkeypatch):
         raise AssertionError("O(n^2) block scan at a tilted field")
 
     monkeypatch.setattr(np, "ix_", scan)
-    assert _block_pairs(h, INTENSITY_FLOOR) is None
+    assert _block_pairs(h, sub, INTENSITY_FLOOR) is None
     assert len(exact_transitions(h, sub)) > 0
 
 
@@ -407,7 +407,7 @@ def test_any_entry_across_the_blocks_forces_the_full_solve():
         matrix = h.matrix.copy()
         matrix[i, j] = matrix[j, i] = 1e-300
         mixed = HamiltonianMatrix(matrix, h.terms, h.dims, h.field)
-        assert _block_pairs(mixed, INTENSITY_FLOOR) is None
+        assert _block_pairs(mixed, sub, INTENSITY_FLOOR) is None
         lines = exact_transitions(mixed, sub)
         freqs, intens = _full_solve_lines(mixed)
         assert np.array_equal(lines.frequencies, freqs)
@@ -451,7 +451,7 @@ def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, s
     assert not _off_block(h).any()
     lines = exact_transitions(h, system)
     freqs, intens = _full_solve_lines(h)
-    if _block_pairs(h, INTENSITY_FLOOR) is None:
+    if _block_pairs(h, system, INTENSITY_FLOOR) is None:
         levels = np.linalg.eigvalsh(h.matrix)
         gap = np.diff(levels).min()
         assert gap <= 2.0 * _DEGENERACY_TOLERANCE * np.abs(levels).max()
@@ -459,6 +459,108 @@ def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, s
         assert np.array_equal(lines.intensities, intens)
     else:
         _assert_blocks_match(lines, freqs, intens, h)
+
+
+def _parity_solve_lines(h, intensity_floor=INTENSITY_FLOOR):
+    """``exact_transitions`` as it ran before the threefold sectors: the two
+    parity blocks, each refined by ``_sharpen``; ``None`` where that path
+    solved in full (a mixed or a degenerate spectrum)."""
+    even, odd = solvers._parity_split(h.dims).rows
+    if _off_block(h).any():
+        return None
+    h_even, h_odd = h.matrix[np.ix_(even, even)], h.matrix[np.ix_(odd, odd)]
+    e_even, u_even = np.linalg.eigh(h_even)
+    e_odd, u_odd = np.linalg.eigh(h_odd)
+    merged = np.sort(np.concatenate((e_even, e_odd)))
+    if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
+        return None
+    u_even = solvers._sharpen(h_even, e_even, u_even)
+    u_odd = solvers._sharpen(h_odd, e_odd, u_odd)
+    moments = np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2
+    fi, ii = np.nonzero(moments >= intensity_floor * moments.max())
+    freqs, intens = np.abs(e_odd[fi] - e_even[ii]), moments[fi, ii]
+    order = np.lexsort((intens, freqs))
+    return freqs[order], intens[order]
+
+
+# Sector sizes, sorted, of the first shells along c: n = 128, 256, 54 and 108.
+_SECTOR_SIZES = {
+    ("CN0", False): [20, 20, 22, 22, 22, 22],
+    ("CN0", True): [42, 42, 42, 42, 44, 44],
+    ("CB0", False): [8, 8, 9, 9, 10, 10],
+    ("CB0", True): [17, 17, 18, 18, 18, 20],
+}
+
+
+def _nudged(system, k, delta=1e-6):
+    """``system`` with site k's first principal value moved by ``delta`` MHz."""
+    site, iso = system.sites[k]
+    moved = site._with_principal_values(np.add(site.principal_values, (delta, 0.0, 0.0)))
+    sites = system.sites[:k] + ((moved, iso),) + system.sites[k + 1:]
+    return SpinSystem(system.label, sites, system.g_tensor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(_FIRST_SHELL_CASES),
+    magnitude=st.floats(5.0, 300.0),
+    sign=st.sampled_from([1.0, -1.0]),
+    variant=st.sampled_from(["symmetric", "tilted", "nudged"]),
+    site=st.integers(0, 3),
+)
+def test_threefold_sectors_match_the_full_solve_along_c(case, magnitude, sign, variant, site):
+    label, carbon13, nqi = case
+    field = (0.0, 1.0 if variant == "tilted" else 0.0, sign * magnitude)
+    sub, h = _first_shell(label, carbon13, nqi, field)
+    if variant == "nudged":         # one site's tensor off the turned one's by 1e-6 MHz
+        sub = _nudged(sub, site % len(sub.sites))
+        h = build_hamiltonian(sub, h.field, terms=h.terms)
+    split = solvers._sectors(h, sub)
+    lines = exact_transitions(h, sub)
+    if variant == "symmetric":
+        assert sorted(split.sizes) == _SECTOR_SIZES[label, carbon13]
+        if _block_pairs(h, sub, INTENSITY_FLOOR) is not None:
+            _assert_blocks_match(lines, *solvers._full_pairs(h, INTENSITY_FLOOR), h)
+            return
+        # CB0: its three equal 14N, axial about c, give levels degenerate across sectors.
+    else:
+        assert split is None if variant == "tilted" else len(split.sizes) == 2
+    # What the parity blocks gave before the sectors, or the full solve.
+    freqs, intens = _parity_solve_lines(h) or _full_solve_lines(h)
+    assert np.array_equal(lines.frequencies, freqs)
+    assert np.array_equal(lines.intensities, intens)
+
+
+def _shell(symbol, values, azimuths, twist):
+    """Sites of ``symbol`` at ``azimuths`` (degrees), c-principal tensors with
+    in-plane axes at azimuth + ``twist``, and EFGs likewise when quadrupolar."""
+    iso = lookup(symbol)
+    sites = []
+    for azimuth in azimuths:
+        frame = axial_frame(np.radians(azimuth + twist))
+        efg = frame @ np.diag([0.2, 0.5, -0.7]) @ frame.T if iso.spin >= 1.0 else None
+        sites.append((NuclearSite(iso.element, 1.0, np.radians(azimuth), values, frame, efg), iso))
+    return tuple(sites)
+
+
+def _field_along_c(sites, magnitude):
+    system = SpinSystem("turned", sites)
+    return system, build_hamiltonian(system, np.array([0.0, 0.0, magnitude]),
+                                     terms=("ezi", "hfi", "nzi", "nqi"))
+
+
+@pytest.mark.parametrize("magnitude", [-120.0, 60.0, 240.0])
+def test_threefold_sectors_off_the_tested_mirror_planes_stay_complex(magnitude):
+    # The shell's mirror plane runs through its tensors' axes at 42 degrees,
+    # off the planes ``_mirror_images`` tests.
+    system, h = _field_along_c(_shell("11B", (3.0, -7.0, 11.0), (17.0, 137.0, 257.0), 25.0),
+                               magnitude)
+    split = solvers._sectors(h, system)
+    assert len(split.sizes) == 6 and split.bases is None
+    assert solvers._mirror_images(system.sites, solvers._threefold_images(system.sites)) is None
+    assert _block_pairs(h, system, INTENSITY_FLOOR) is not None
+    freqs, intens = _full_solve_lines(h)
+    _assert_blocks_match(exact_transitions(h, system), freqs, intens, h)
 
 
 def test_exact_requires_matching_layout():

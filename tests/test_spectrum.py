@@ -166,6 +166,20 @@ def test_synthesize_rejects_nonfinite_lines(column, bad):
         synthesize(_lines(*columns), default_grid())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("operation", [peak_stats, synthesize], ids=["peak_stats", "synthesize"])
+@pytest.mark.parametrize("weights, intensities", [
+    ([1e200, 1e200], [1e200, 1e200]),       # each product overflows
+    ([1e308, 1e308], [1.0, 1.0]),           # the products are finite, their sum is not
+], ids=["product", "sum"])
+def test_overflowing_line_mass_is_refused_without_a_numpy_warning(
+    operation, weights, intensities
+):
+    lines = LineList("t", [0.0, 0.0, 1.0], [100.0, 120.0], intensities, weights)
+    with pytest.raises(ValueError, match="^line weights times intensities overflow$"):
+        operation(lines)
+
+
 def test_synthesize_rejects_nonuniform_grid_before_kernel_work():
     # The line is off this grid, so a grid check made only after the
     # coverage warning (or after the kernel sum) fails here as a warning.
