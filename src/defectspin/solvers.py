@@ -82,9 +82,11 @@ _DEGENERACY_TOLERANCE = 1e-11
 _CLOSE_GAP = 1e-6
 # A site is another's image (or its own) under the 120-degree turn about c
 # when its tensors equal the other's turned to this fraction of their largest
-# entry: far above the rounding of the bundled frames (1e-16), far below any
-# physical difference. The part of H the turn misses is ignored, and it moves
-# no level by more than this fraction of the largest coupling.
+# entry; H maps to itself under the turn when its entries do, to this
+# fraction of max |H|, and a block is real when its imaginary part is this
+# small. Far above the rounding of the bundled frames (1e-16), far below any
+# physical difference: what is ignored moves no level by more than this
+# fraction of the largest entry.
 _SYMMETRY_TOLERANCE = 1e-12
 
 MODE_FULL = "full_tensor"
@@ -514,12 +516,13 @@ class _Split(NamedTuple):
     it pad every sector to one length, with zero weights and scales. H's
     block of sector s is the leading ``sizes[s]`` square of
     ``scales[s, :, None] * sum_l H[rows[s, :, None], cols[s, l]] * weights[s, l]``.
-    With ``bases``, Z^H block Z is real for the columns of Z = ``bases[s]``.
-    Sector s lies on the parity side ``sides[s]``, and its row k at
-    ``places[s, k]`` of that side: the rows at one place on the two sides are
-    electron-flip partners. S_x flips the electron and so the parity, so with
-    U_even and U_odd holding each side's eigenvectors by place,
-    <odd f|S_x|even i> = (U_odd^H U_even)[f, i] / 2.
+    With ``real`` = (twins, alphas, betas), Z^H block Z is real when the
+    mirror maps H to itself, Z the unitary with two entries per column j:
+    Z[j, j] = alphas[s, j] and Z[twins[s, j], j] = betas[s, j]. Sector s lies on the parity side
+    ``sides[s]``, and its row k at ``places[s, k]`` of that side: the rows at
+    one place on the two sides are electron-flip partners. S_x flips the
+    electron and so the parity, so with U_even and U_odd holding each side's
+    eigenvectors by place, <odd f|S_x|even i> = (U_odd^H U_even)[f, i] / 2.
     """
 
     rows: np.ndarray            # (sectors, length)
@@ -527,32 +530,40 @@ class _Split(NamedTuple):
     weights: np.ndarray         # (sectors, lags, length)
     scales: np.ndarray          # (sectors, length)
     places: np.ndarray          # (sectors, length)
-    bases: np.ndarray | None    # (sectors, length, length)
+    real: tuple | None          # three (sectors, length)
     sides: tuple
     sizes: tuple
 
 
-def _frozen_split(sectors, bases=()) -> _Split:
+def _padded(column) -> np.ndarray:
+    """The arrays of ``column``, one per sector, stacked and padded with
+    zeros on their last axis to the longest, read-only."""
+    padded = np.zeros((len(column), *column[0].shape[:-1], max(a.shape[-1] for a in column)),
+                      column[0].dtype)
+    for target, a in zip(padded, column):
+        target[..., : a.shape[-1]] = a
+    padded.flags.writeable = False
+    return padded
+
+
+def _frozen_split(sectors, real=None) -> _Split:
     """``_Split`` of (side, rows, cols, weights, scales, places) per sector,
-    and of ``bases`` (a square per sector, or none), empty sectors left out,
-    padded with zeros to the longest, read-only."""
+    and of (twins, alphas, betas) per sector for a real form, empty sectors
+    left out."""
     live = [k for k, sector in enumerate(sectors) if sector[1].size]
     sides, *arrays = zip(*(sectors[k] for k in live))
-    sizes = tuple(rows.size for rows in arrays[0])
-    length = max(sizes)
-    stacked = []
-    for column in arrays:
-        padded = np.zeros((len(live), *column[0].shape[:-1], length), column[0].dtype)
-        for target, a in zip(padded, column):
-            target[..., : a.shape[-1]] = a
-        stacked.append(padded)
-    if bases:
-        stacked.append(np.zeros((len(live), length, length), dtype=complex))
-        for target, k in zip(stacked[-1], live):
-            target[: bases[k].shape[0], : bases[k].shape[1]] = bases[k]
-    for a in stacked:
-        a.flags.writeable = False
-    return _Split(*stacked[:5], stacked[5] if bases else None, sides, sizes)
+    if real is not None:
+        real = tuple(map(_padded, zip(*(real[k] for k in live))))
+    return _Split(*map(_padded, arrays), real, sides, tuple(rows.size for rows in arrays[0]))
+
+
+@lru_cache(maxsize=32)
+def _levels(dims: tuple[int, ...]) -> np.ndarray:
+    """n_b, the sum of factor indices of each basis state (read-only): J_z is
+    its largest value minus n_b, and parity is n_b mod 2."""
+    level = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
+    level.flags.writeable = False
+    return level
 
 
 @lru_cache(maxsize=32)
@@ -560,29 +571,30 @@ def _parity_split(dims: tuple[int, ...]) -> _Split:
     """The even and the odd parity block, each listed by nuclear index: row k
     of one is the electron-flipped partner of row k of the other."""
     half = math.prod(dims) // 2
-    q = np.zeros(1, dtype=np.intp)
-    for d in dims[1:]:
-        q = (q[:, None] + np.arange(d)).ravel()
-    even = (q & 1) * half + np.arange(half)
+    even = (_levels(dims)[:half] & 1) * half + np.arange(half)
     odd = (even + half) % (2 * half)
     return _frozen_split([(side, rows, rows[None], np.ones((1, half)), np.ones(half),
                            np.arange(half)) for side, rows in enumerate((even, odd))])
 
 
-def _moved_states(dims: tuple[int, ...], images) -> np.ndarray:
-    """Where moving site k's state to site ``images[k]`` takes each basis state."""
+@lru_cache(maxsize=32)
+def _moved_states(dims: tuple[int, ...], images: tuple[int, ...]) -> np.ndarray:
+    """Where moving site k's state to site ``images[k]`` takes each basis
+    state (read-only)."""
     digits = np.indices(dims).reshape(len(dims), -1)
     moved = np.empty_like(digits)
     moved[[0, *(k + 1 for k in images)]] = digits
-    return np.ravel_multi_index(tuple(moved), dims)
+    step = np.ravel_multi_index(tuple(moved), dims)
+    step.flags.writeable = False
+    return step
 
 
 @lru_cache(maxsize=32)
 def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> _Split:
     """The six sectors of C x parity, C the turn that moves site k's state to
-    site ``images[k]`` and multiplies basis state b by omega**n_b, n_b its
-    sum of factor indices (J_z = max J_z - n_b). C and parity commute, and so
-    does H when the turn maps it to itself (``_sectors``).
+    site ``images[k]`` and multiplies basis state b by omega**n_b (n_b of
+    ``_levels``). C and parity commute, and so does H when the turn maps it
+    to itself (``_turn_commutes``).
 
     Sector r holds the eigenvalue omega**q, q = r % 3, of C and parity r % 2.
     Each orbit b, C b, C^2 b of three states gives one row to every sector of
@@ -596,15 +608,16 @@ def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> 
 
     The ``mirror`` images of ``_mirror_images`` (or ``None``) give the
     antiunitary T = M K, K complex conjugation (S_y -> -S_y) and M the
-    mirror's move of site states. T commutes with H and with S_x, and
-    T C T^-1 = C^-1, so T keeps each sector, taking row b to a phase times
-    row m (the orbit of M b). The rows b = m, times sqrt(phase), and the pairs
-    (b + phase m) / sqrt 2, i (b - phase m) / sqrt 2, are fixed by T: in that
-    basis Z each block is real (Wigner's real form of an antiunitary
-    symmetry). S_x keeps the phases and pairs of partner rows, so Z is one
-    unitary on each side's places and the moments need no Z at all:
-    <odd f|S_x|even i> = (W_odd^T W_even)[f, i] / 2 with the real
-    eigenvectors W placed as U would be.
+    mirror's move of site states. T commutes with S_x, and T C T^-1 = C^-1,
+    so T keeps each sector, taking row b to a phase times row m (the orbit
+    of M b, its twin). The rows b = m, times sqrt(phase), and the pairs
+    (b + phase m) / sqrt 2, i (b - phase m) / sqrt 2, are fixed by T; they are
+    the columns of the split's ``real`` form Z. When T commutes with H too,
+    each block is real in the basis Z (Wigner's real form of an antiunitary
+    symmetry; ``_real_form`` tests it). S_x keeps the phases and twins of
+    partner rows, so Z is one unitary on each side's places and the moments
+    need no Z at all: <odd f|S_x|even i> = (W_odd^H W_even)[f, i] / 2 with
+    the eigenvectors W of the blocks in that basis placed as U would be.
     """
     n = math.prod(dims)
     step = _moved_states(dims, images)                  # C takes state b to step[b]
@@ -612,10 +625,10 @@ def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> 
     rep = orbits.min(axis=0)
     reps = np.flatnonzero(rep == orbits[0])
     fixed = step[reps] == reps
-    level = np.indices(dims).reshape(len(dims), n).sum(axis=0)     # n_b
+    level = _levels(dims)
     omega = np.exp(2j * math.pi / 3.0 * np.arange(3))   # omega**k for k = 0, 1, 2
     mirrored = None if mirror is None else _moved_states(dims, mirror)
-    sectors, bases = [], []
+    sectors, real = [], []
     for r in range(6):
         q = r % 3
         rows = reps[(level[reps] % 2 == r % 2) & (~fixed | (level[reps] % 3 == q))]
@@ -624,17 +637,17 @@ def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> 
         sectors.append([r % 2, rows, orbits[:, rows], scales * phases, scales])
         if mirrored is not None:
             image = mirrored[rows]                              # M b = C**lag m
-            twin = np.searchsorted(rows, rep[image])
+            twins = np.searchsorted(rows, rep[image])
             lag = np.argmax(orbits[:, rep[image]] == image, axis=0)
             phase = omega[-(level[rows] - q) * lag % 3]
-            basis = np.zeros((rows.size, rows.size), dtype=complex)
             b = np.arange(rows.size)
-            alone, first = twin == b, twin > b
-            basis[b[alone], b[alone]] = np.sqrt(phase[alone])
-            b, m, phase = b[first], twin[first], phase[first] / math.sqrt(2.0)
-            basis[b, b], basis[m, b] = 1.0 / math.sqrt(2.0), phase      # (b + phase m) / sqrt 2
-            basis[b, m], basis[m, m] = 1j / math.sqrt(2.0), -1j * phase  # i (b - phase m) / sqrt 2
-            bases.append(basis)
+            alone, first, second = twins == b, twins > b, twins < b
+            alphas, betas = np.sqrt(phase), np.zeros(rows.size, dtype=complex)
+            alphas[first], betas[first] = 1.0, phase[first]         # (b + phase m) / sqrt 2
+            alphas[second], betas[second] = -1j * phase[twins[second]], 1j   # i (b - phase m)
+            alphas[~alone] /= math.sqrt(2.0)
+            betas /= math.sqrt(2.0)
+            real.append((twins, alphas, betas))
     sizes = [rows.size for _, rows, *_ in sectors]
     ups = [np.count_nonzero(rows < n // 2) for _, rows, *_ in sectors]
     starts = {0: 0, 2: sizes[0], 4: sizes[0] + sizes[2]}
@@ -643,7 +656,7 @@ def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> 
         sector.append(starts[r] + np.arange(sizes[r]) if r % 2 == 0 else np.concatenate((
             starts[above] + ups[above] + np.arange(ups[r]),
             starts[below] + np.arange(sizes[r] - ups[r]))))
-    return _frozen_split(sectors, bases)
+    return _frozen_split(sectors, real or None)
 
 
 def _site_moves(sites, tensors: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -724,25 +737,44 @@ def _mirror_images(sites, turn: tuple[int, ...]) -> tuple[int, ...] | None:
     return tuple(images)
 
 
-def _sectors(h: HamiltonianMatrix, system: SpinSystem) -> _Split | None:
-    """The finest ``_Split`` known to hold for ``h``, or ``None``.
+def _turn_commutes(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, dims, images) -> bool:
+    """Whether the turn C of ``_threefold_split`` maps H to itself: at each of
+    its nonzero entries (``rows``, ``cols``),
+    H[C a, C b] = omega**(n_a - n_b) H[a, b] to ``_SYMMETRY_TOLERANCE`` of
+    max |H|. As C**3 = 1, an entry the turn brings into a zero fails too."""
+    step, level = _moved_states(dims, images), _levels(dims)
+    values = m[rows, cols]
+    omega = np.exp(2j * math.pi / 3.0 * np.arange(3))
+    moved = m[step[rows], step[cols]] - omega[(level[rows] - level[cols]) % 3] * values
+    return np.abs(moved).max() <= _SYMMETRY_TOLERANCE * np.abs(values).max()
 
-    Parity (the sum of factor indices mod 2) holds when H has no entry
-    between its two blocks: B along c, with c a principal axis of g and of
-    every tensor. Row 0 holds the transverse Zeeman terms, so a tilted field
-    stops after O(n) work. With B along c (O(1)), g^T B is along c too, and
-    the 120-degree turn about c maps H to itself when it maps the sites to
-    themselves (``_threefold_images``): then H splits into six sectors, with
-    real blocks when a mirror through c maps the sites to themselves too.
+
+def _sectors(h: HamiltonianMatrix, system: SpinSystem) -> _Split | None:
+    """The finest ``_Split`` that holds for ``h``, or ``None``.
+
+    Parity (n_b mod 2, ``_levels``) holds when H has no entry between its
+    two blocks: B along c, with c a principal axis of g and of every tensor.
+    Row 0 holds the transverse Zeeman terms, so a tilted field stops after
+    O(n) work; otherwise each nonzero entry of H is tested. With B along c
+    (O(1)), the 120-degree turn about c may map the sites to themselves
+    (``_threefold_images``); H splits into six sectors when the turn maps H
+    to itself too (``_turn_commutes``, on the same entries). The sites only
+    propose the turn and H decides, so an H with a term the sites do not
+    show, or built from another system of the same layout, gets the split
+    its own entries allow. A mirror through c that maps the sites to
+    themselves (``_mirror_images``) gives the split a real form, which
+    ``_block_pairs`` keeps only when it makes the blocks real.
     """
     parity = _parity_split(h.dims)
-    even, odd = parity.rows
-    if (h.matrix[0, odd].any() or h.matrix[np.ix_(even, odd)].any()
-            or h.matrix[np.ix_(odd, even)].any()):
+    if h.matrix[0, parity.rows[1]].any():
+        return None
+    rows, cols = np.divmod(np.flatnonzero(h.matrix != 0), h.dimension)
+    level = _levels(h.dims)
+    if ((level[rows] ^ level[cols]) & 1).any():
         return None
     if h.field[0] == h.field[1] == 0.0:
         images = _threefold_images(system.sites)
-        if images is not None:
+        if images is not None and _turn_commutes(h.matrix, rows, cols, h.dims, images):
             return _threefold_split(h.dims, images, _mirror_images(system.sites, images))
     return parity
 
@@ -783,6 +815,21 @@ def _sharpen(a: np.ndarray, levels: np.ndarray, vectors: np.ndarray) -> np.ndarr
     return sharpened
 
 
+def _real_form(blocks: np.ndarray, twins, alphas, betas) -> np.ndarray:
+    """Z^H B Z for each of the sector ``blocks`` B, Z of ``_Split.real``, by
+    O(length^2) gathers: real when the mirror maps H to itself, else (its
+    imaginary part above ``_SYMMETRY_TOLERANCE`` of its largest entry) left
+    complex, which still has B's levels and moments."""
+    sector, index = np.arange(len(blocks))[:, None, None], np.arange(blocks.shape[1])
+    bz = blocks * alphas[:, None, :]
+    bz += blocks[sector, index[:, None], twins[:, None, :]] * betas[:, None, :]
+    zbz = alphas.conj()[:, :, None] * bz
+    zbz += betas.conj()[:, :, None] * bz[sector, twins[:, :, None], index]
+    if np.abs(zbz.imag).max() <= _SYMMETRY_TOLERANCE * np.abs(zbz.real).max():
+        return zbz.real
+    return zbz
+
+
 def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
     """Frequencies and S_x moments of the pairs across the parity sides that
     pass ``floor``, from one small ``eigh`` per sector of ``_sectors``, or
@@ -790,10 +837,10 @@ def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
     ``_DEGENERACY_TOLERANCE`` of max |E|.
 
     Each block is gathered from H's entries (``_Split``); orbit sums are
-    turned real by the split's ``bases`` when it has them and made exactly
-    symmetric, and parity blocks are H's own entries. The eigenvectors are
-    placed by row on their side, so one product gives every moment; pairs
-    of sectors that S_x does not link get exact zeros.
+    taken to the split's real form when it has one (``_real_form``) and made
+    exactly Hermitian, and parity blocks are H's own entries. The
+    eigenvectors are placed by row on their side, so one product gives every
+    moment; pairs of sectors that S_x does not link get exact zeros.
     """
     split = _sectors(h, system)
     if split is None:
@@ -804,8 +851,8 @@ def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
     if gathered.shape[1] > 1:           # orbit sums: each side of the diagonal rounds apart
         summed += gathered[:, 1:].sum(axis=1)
         summed *= split.scales[:, :, None]
-        if split.bases is not None:
-            summed = (split.bases.conj().transpose(0, 2, 1) @ summed @ split.bases).real
+        if split.real is not None:
+            summed = _real_form(summed, *split.real)
         summed += summed.conj().transpose(0, 2, 1)
         summed *= 0.5
     blocks = [block[:size, :size] for block, size in zip(summed, split.sizes)]
@@ -847,13 +894,13 @@ def exact_transitions(
     apart (``_sectors``): two (n/2)^3 ``eigh``s and one (n/2)^3 moment
     product, a quarter to a third of the full cost. When, with B along c,
     the 120-degree turn about c also maps the sites to themselves (the
-    bundled shells, with or without 13C and EFGs), each parity block splits
-    again into the three eigenspaces of the turn: six ``eigh``s of about n/6,
-    real ones when a mirror through c maps the sites to themselves too. Only
-    the n^2/4 pairs across the parity blocks are emitted; the pairs inside
-    one have a zero moment, so even a floor of 0 returns none of them, and
-    pairs between sectors that S_x does not link come with a moment of
-    exactly 0. A tilted field is found to mix the blocks after O(n) work.
+    bundled shells, with or without 13C and EFGs) and H to itself, each
+    parity block splits again into the three eigenspaces of the turn: six
+    ``eigh``s of about n/6, real ones when a mirror through c maps the sites
+    and H to themselves too. Only the n^2/4 pairs across the parity blocks
+    are emitted; the pairs inside one have a zero moment, so even a floor of
+    0 returns none of them, and pairs between sectors that S_x does not link
+    come with a moment of exactly 0. A tilted field is found to mix the blocks after O(n) work.
     A split spectrum with near-degenerate levels (CB0, whose three equal 14N
     give levels degenerate across sectors) is solved in full instead, so the
     floor sees the same moments as before. Inside a block, the eigenvectors

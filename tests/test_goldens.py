@@ -7,23 +7,19 @@ BLAS thread count; they are compared to ``tolerance_mhz``, as the benchmark's
 checks compare exact statistics. Every other token must be equal. The cases
 run in one process, forward and then reversed, so a result that depends on
 what an earlier call left in a cache fails too. ``goldens/record.py``
-re-records the outputs.
+re-records the outputs, with the same ``run`` that replays them here.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import re
-from pathlib import Path
 
 import pytest
+from goldens.record import GOLDENS, run
 
-from defectspin.cli import main
-
-GOLDENS = json.loads((Path(__file__).parent / "goldens" / "cli.json").read_text())
-CASES = GOLDENS["cases"]
+RECORDED = json.loads(GOLDENS.read_text())
+CASES = RECORDED["cases"]
 
 
 def _number(token: str):
@@ -46,26 +42,19 @@ def _assert_same_output(case: dict, code: int, out: str):
             if x is None or y is None or not approximate.search(expected):
                 assert token == ref, (line, expected)
             else:
-                assert abs(x - y) <= GOLDENS["tolerance_mhz"], (line, expected)
-
-
-def _run(argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
+                assert abs(x - y) <= RECORDED["tolerance_mhz"], (line, expected)
 
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 def test_cli_outputs_match_the_goldens(order):
     cases = CASES if order == "forward" else CASES[::-1]
     for case in cases:
-        _assert_same_output(case, *_run(case["argv"]))
+        _assert_same_output(case, *run(case["argv"]))
 
 
 def test_a_changed_digit_fails_the_comparison():
     case = CASES[1]                             # compare-methods --format csv
-    code, out = _run(case["argv"])
+    code, out = run(case["argv"])
     _assert_same_output(case, code, out)
     for old, new in (("112.29511", "112.29512"), ("73.802135", "73.812135")):
         assert old in out

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian
+from defectspin.hamiltonian import HamiltonianMatrix, build_hamiltonian, spin_operators
 from defectspin.isotopes import CONSTANTS, lookup
 from defectspin.isotopologues import apply_pattern, composite_lines, enumerate_patterns
 from defectspin import solvers
@@ -556,11 +556,62 @@ def test_threefold_sectors_off_the_tested_mirror_planes_stay_complex(magnitude):
     system, h = _field_along_c(_shell("11B", (3.0, -7.0, 11.0), (17.0, 137.0, 257.0), 25.0),
                                magnitude)
     split = solvers._sectors(h, system)
-    assert len(split.sizes) == 6 and split.bases is None
+    assert len(split.sizes) == 6 and split.real is None
     assert solvers._mirror_images(system.sites, solvers._threefold_images(system.sites)) is None
     assert _block_pairs(h, system, INTENSITY_FLOOR) is not None
     freqs, intens = _full_solve_lines(h)
     _assert_blocks_match(exact_transitions(h, system), freqs, intens, h)
+
+
+def _embedded(dims, ops):
+    """The Kronecker product over the factors ``dims`` of ``ops`` (factor ->
+    matrix), identities elsewhere."""
+    return reduce(np.kron, [ops.get(k, np.eye(d)) for k, d in enumerate(dims)])
+
+
+@pytest.mark.parametrize("magnitude", [-150.0, 150.0])
+def test_a_term_that_breaks_the_mirror_keeps_the_sector_blocks_complex(magnitude):
+    # 0.5 MHz (S_x J_y - S_y J_x), J the first shell's nuclear spin: the
+    # turn and parity keep it, complex conjugation flips its sign, so the
+    # mirror's real form does not hold and the blocks must stay complex.
+    sub, h = _first_shell("CN0", False, True, (0.0, 0.0, magnitude))
+    s, i = spin_operators(0.5), spin_operators(sub.sites[0][1].spin)
+    term = sum(_embedded(h.dims, {0: s.jx, k: i.jy}) - _embedded(h.dims, {0: s.jy, k: i.jx})
+               for k in range(1, len(h.dims)))
+    broken = HamiltonianMatrix(h.matrix + 0.5 * term, h.terms, h.dims, h.field)
+    split = solvers._sectors(broken, sub)
+    assert len(split.sizes) == 6 and split.real is not None
+    assert _block_pairs(broken, sub, INTENSITY_FLOOR) is not None
+    freqs, intens = _full_solve_lines(broken)
+    _assert_blocks_match(exact_transitions(broken, sub), freqs, intens, broken)
+
+
+def _turned_away(h, sub):
+    """H with, in turn, a diagonal entry of a state that no sector row reads
+    and an entry pair inside one parity block moved by 1e-3 MHz: each keeps
+    parity and breaks the turn."""
+    step = solvers._moved_states(h.dims, solvers._threefold_images(sub.sites))
+    hidden = np.flatnonzero((step != np.arange(h.dimension)) & (step < np.arange(h.dimension)))
+    i, j = np.flatnonzero(h.matrix[hidden[-1]] != 0)[:2]
+    for rows, cols in (((hidden[-1],), (hidden[-1],)), ((i, j), (j, i))):
+        matrix = h.matrix.copy()
+        matrix[rows, cols] += 1e-3
+        yield HamiltonianMatrix(matrix, h.terms, h.dims, h.field)
+
+
+@pytest.mark.parametrize("label", ["CN0", "CB0"])
+def test_an_entry_that_breaks_the_turn_leaves_the_parity_blocks(label):
+    sub, h = _first_shell(label, False, True, (0.0, 0.0, 150.0))
+    assert len(solvers._sectors(h, sub).sizes) == 6
+    # A term the sites do not show, and an H of another system of the same
+    # layout (one site's tensor off the turned one's by 1e-3 MHz).
+    other = build_hamiltonian(_nudged(sub, 1, 1e-3), h.field, terms=h.terms)
+    for broken in (*_turned_away(h, sub), other):
+        assert len(solvers._sectors(broken, sub).sizes) == 2
+        lines = exact_transitions(broken, sub)
+        freqs, intens = _parity_solve_lines(broken) or _full_solve_lines(broken)
+        assert np.array_equal(lines.frequencies, freqs)
+        assert np.array_equal(lines.intensities, intens)
 
 
 def test_exact_requires_matching_layout():
