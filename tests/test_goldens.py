@@ -1,13 +1,17 @@
-"""CLI stdout pinned against recorded outputs (``goldens/cli.json``).
+"""CLI stdout and written files pinned against recorded outputs
+(``goldens/cli.json``).
 
 Numbers on the lines that a case marks ``approximate`` come from an exact or
 a hybrid solve. Inside a degenerate eigenspace the eigensolver's basis decides
 which weak lines pass the intensity floor, so those numbers move with the
 BLAS thread count; they are compared to ``tolerance_mhz``, as the benchmark's
-checks compare exact statistics. Every other token must be equal. The cases
-run in one process, forward and then reversed, so a result that depends on
-what an earlier call left in a cache fails too. ``goldens/record.py``
-re-records the outputs, with the same ``run`` that replays them here.
+checks compare exact statistics. Every other token must be equal, and so must
+the bytes of every written file (their sha256): the cases that write files are
+perturbative or text-only, so their bytes do not depend on the BLAS threads.
+The cases run in one process, forward and then reversed, so a result that
+depends on what an earlier call left in a cache fails too.
+``goldens/record.py`` re-records the outputs, with the same ``run`` that
+replays them here.
 """
 
 from __future__ import annotations
@@ -29,8 +33,9 @@ def _number(token: str):
         return None
 
 
-def _assert_same_output(case: dict, code: int, out: str):
+def _assert_same_output(case: dict, code: int, out: str, files: dict):
     assert code == case["exit_code"]
+    assert files == case["files"]
     got, want = out.splitlines(), case["stdout"].splitlines()
     assert len(got) == len(want)
     approximate = re.compile(case.get("approximate", r"(?!)"))
@@ -54,9 +59,9 @@ def test_cli_outputs_match_the_goldens(order):
 
 def test_a_changed_digit_fails_the_comparison():
     case = CASES[1]                             # compare-methods --format csv
-    code, out = run(case["argv"])
-    _assert_same_output(case, code, out)
+    code, out, files = run(case["argv"])
+    _assert_same_output(case, code, out, files)
     for old, new in (("112.29511", "112.29512"), ("73.802135", "73.812135")):
         assert old in out
         with pytest.raises(AssertionError):
-            _assert_same_output(case, code, out.replace(old, new))
+            _assert_same_output(case, code, out.replace(old, new), files)
