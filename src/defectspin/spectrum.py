@@ -27,8 +27,26 @@ DEFAULT_LINE_WIDTH = 1.0                # MHz FWHM per line
 # exp(-KERNEL_REACH**2 / 2) = exp(-40.5) ~ 2.6e-18 of its own peak.
 KERNEL_REACH = 9.0
 
+# The Gauss transform in synthesize is taken only when its error bound,
+# Taylor truncation plus grid drift, is within this share of the peak.
+_TRANSFORM_TOL = 5e-13
+_TERMS_MAX = 40
+# Cost weights that pick synthesize's path, in ns, measured with numpy 2.4 on
+# an x86-64 core: numpy call overheads of one offset pass or one Taylor term,
+# one line in one offset pass, one window start of a pass's bincount, one line
+# in one term (a product and a bincount), one output point and one
+# multiply-add of a term's convolution.
+_NS_CALL = 4000.0
+_NS_OFFSET_LINE = 5.0
+_NS_OFFSET_SLOT = 0.4
+_NS_TERM_LINE = 2.0
+_NS_CONV_OUT = 8.0
+_NS_CONV_MAC = 0.065
+
 # Fixed header key order so identical runs serialize byte-identically.
 _HEADER_KEYS = ("field", "method", "seed", "shift", "window")
+# Rows written per block: the texts of one block are held at once.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,9 @@ def _check_grid(grid: np.ndarray):
     if not np.isfinite(grid).all():
         raise ValueError("grid must be finite")
     if grid.size >= 2:
-        # Point i must sit at grid[0] + i * step, where synthesize puts it.
+        # Point i must sit near grid[0] + i * step: the per-offset pass of
+        # synthesize reads the points themselves, and its Gauss transform is
+        # taken only where the drift measured by _drift keeps it accurate.
         # Building a grid rounds each point by a few ulps of the grid's
         # largest magnitude, whatever the step, so that is allowed too.
         n = grid.size
@@ -172,16 +192,27 @@ def synthesize(
     """Sum one Gaussian kernel per line, peak-normalized.
 
     Kernel area is proportional to weight times intensity and
-    ``per_line_width`` is the per-line FWHM in MHz. Each kernel is
-    evaluated on the W = ``2*ceil(KERNEL_REACH*sigma/step) + 1`` grid points
-    around its line (the whole grid when that is wider), which covers every
-    grid point within 9 sigma of the line; a line off the grid lands on the
-    points at the nearest edge. Pass k of W vectorized passes over the lines
-    gives each line's value at its k-th point, so a kernel as wide as the
-    grid costs the most. A term left out is below exp(-40.5) ~ 2.6e-18 of its
-    line's largest value on the grid, so after normalization each point is
-    off the full sum by at most 2.6e-18 times the number of lines. A point
-    farther than 9 sigma from every line is exactly 0.
+    ``per_line_width`` is the per-line FWHM in MHz. Each kernel covers every
+    grid point within 9 sigma of its line; a term left out is below
+    exp(-40.5) ~ 2.6e-18 of its line's largest value on the grid. Two paths
+    sum the kernels, and a cost model built from measured per-element costs
+    picks the cheaper one:
+
+    - The per-offset pass evaluates each kernel on the W =
+      ``2*ceil(KERNEL_REACH*sigma/step) + 1`` grid points around its line
+      (the whole grid when that is wider); pass k of W vectorized passes
+      gives each line's value at its k-th point. A line off the grid takes
+      this path and lands on the points at the nearest edge.
+    - The truncated fast Gauss transform (Greengard and Strain, SIAM J. Sci.
+      Stat. Comput. 12, 79 (1991)) serves the lines within half a step of a
+      grid point: P Taylor terms, each one ``bincount`` onto the nearest
+      points and one convolution, whatever W is, so a kernel as wide as the
+      grid is cheap. P comes from the Taylor remainder bound; the path is
+      taken only where that bound plus the grid's drift from uniform keep
+      every point within ``_TRANSFORM_TOL`` of the peak.
+
+    A point farther than 9 sigma from every line is 0 on the per-offset
+    pass; the transform leaves it within its bound of 0.
 
     Raises ``ValueError`` for a grid that is empty, not finite or not
     uniform, for lines with a non-finite frequency, and when a line's
@@ -212,14 +243,16 @@ def synthesize(
     step = (g[-1] - g[0]) / (n - 1) if n > 1 else 1.0   # one point: width 1
     # Cap before rounding: a huge finite width makes the half-width inf.
     width = min(2 * math.ceil(min(KERNEL_REACH * sig / step, n)) + 1, n)
+    nearest = np.rint((freqs - g[0]) / step)
+    done = _gauss_transform(out, g, step, sig, width, nearest, freqs, mass)
+    if done is not None:
+        freqs, mass, nearest = freqs[~done], mass[~done], nearest[~done]
     # Clip in float, so a line far off the grid cannot overflow the cast.
-    starts = np.clip(
-        np.rint((freqs - g[0]) / step) - width // 2, 0, n - width
-    ).astype(np.intp)
+    starts = np.clip(nearest - width // 2, 0, n - width).astype(np.intp)
     # One pass per kernel offset k: every line's value at its k-th window
     # point, mass * exp(-(g - f)**2 / (2 sigma**2)), summed by window start.
     slots = n - width + 1                       # window starts
-    for k in range(width):
+    for k in range(width if freqs.size else 0):
         x = g[starts + k] - freqs
         x *= x
         x /= -2.0 * sig * sig
@@ -237,6 +270,92 @@ def synthesize(
         shift=meta.get("shift", 0.0),
     )
     return Spectrum(g, out, meta)
+
+
+def _offset_ns(lines: int, n: int, width: int) -> float:
+    """Modelled cost of the per-offset pass over ``lines`` lines."""
+    return width * (lines * _NS_OFFSET_LINE + (n - width + 1) * _NS_OFFSET_SLOT
+                    + _NS_CALL) if lines else 0.0
+
+
+def _drift(g: np.ndarray, step: float) -> float:
+    """Largest |g[i] - (g[0] + i * step)|, without the rounding of the sum:
+    i * step is the exact p + e (Dekker's product; i < 2**26 has at most 26
+    bits), and g - g[0] the exact s + es (Knuth's two-sum). NaN when the
+    split of a step near the largest float overflows."""
+    i = np.arange(g.size, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = i * step
+        t = 134217729.0 * step                  # 2**27 + 1 splits step in halves
+        hi = t - (t - step)
+        e = (i * hi - p) + i * (step - hi)
+        s = g - g[0]
+        b = s - g
+        es = (g - (s - b)) + (-g[0] - b)
+        return float(np.abs((s - p) + (es - e)).max())
+
+
+def _gauss_transform(out, g, step, sig, width, nearest, freqs, mass):
+    """Add the Gaussians of the lines within half a step of a grid point to
+    ``out`` by the truncated fast Gauss transform; their mask, or ``None``
+    (``out`` untouched) where the per-offset pass is modelled cheaper or the
+    error bound cannot be met.
+
+    With a = k * step / sigma for grid offset k and u = d / sigma for a
+    line's distance d (|d| <= step / 2) from its nearest point c,
+    exp(-(a - u)**2 / 2) = exp(-a**2 / 2) * exp(a * u) * exp(-u**2 / 2).
+    The first P terms of exp(a * u) make term p the bins of
+    mass * exp(-u**2 / 2) * u**p convolved with exp(-a**2 / 2) * a**p / p!.
+    Per unit of mass the remainder is at most
+    exp(-a**2 / 2 + |a| delta) (|a| delta)**P / P!, delta = step / (2 sigma),
+    largest at the a where -a + delta + P / a = 0. The peak is at least the
+    largest bin of term 0, and the rest of the error budget goes to P.
+    """
+    n = g.size
+    on = (nearest >= 0) & (nearest < n)
+    count = int(np.count_nonzero(on))
+    delta = step / (2.0 * sig)
+    # delta <= 1/2 keeps P small and the drift bound below valid; past it
+    # W < 20 and the per-offset pass is cheaper anyway.
+    if not (1 < n < 2**26 and 0.0 < delta <= 0.5 and count):
+        return None
+    half = (width - 1) // 2 if width < n else n - 1     # kernel offsets -half..half
+    orders = np.arange(1, _TERMS_MAX + 1)
+    a = np.minimum((delta + np.sqrt(delta * delta + 4.0 * orders)) / 2.0, half * step / sig)
+    log_bound = (-a * a / 2.0 + a * delta + orders * (np.log(a) + math.log(delta))
+                 - np.cumsum(np.log(orders)))
+    saved = _offset_ns(freqs.size, n, width) - _offset_ns(freqs.size - count, n, width)
+    per_term = (count * _NS_TERM_LINE + (n + 2 * half) * _NS_CONV_OUT
+                + n * (2 * half + 1) * _NS_CONV_MAC + _NS_CALL)
+
+    def terms_for(limit: float) -> int:
+        """The fewest terms whose bound is within ``limit`` and that cost less
+        than the pass they save (one term's cost more for the set-up); else 0."""
+        fit = np.flatnonzero(log_bound <= math.log(limit)) if limit > 0 else ()
+        return int(fit[0]) + 1 if len(fit) and (fit[0] + 2) * per_term < saved else 0
+
+    if not terms_for(_TRANSFORM_TOL):           # even at mass / peak = 1
+        return None
+    # Grid drift r shifts the transform's points by up to 2r. The spectrum's
+    # slope is at most 1.093 / sigma of its largest value, whose nearest
+    # point reads at least 1 - delta**2 / 2 >= 7/8 of it: 2.5 r / sigma.
+    budget = _TRANSFORM_TOL - 2.5 * _drift(g, step) / sig   # NaN fits no term
+    c = nearest[on].astype(np.intp)
+    u = (freqs[on] - g[c]) / sig
+    w = mass[on] * np.exp(-u * u / 2.0)
+    bins = np.bincount(c, weights=w, minlength=n)
+    # Term 0's largest bin is a lower bound of the peak.
+    terms = terms_for(budget * float(bins.max()) / float(mass[on].sum()))
+    if not terms:
+        return None
+    a = np.arange(-half, half + 1) * (step / sig)
+    kernel = np.exp(-a * a / 2.0)
+    out += np.convolve(bins, kernel)[half : half + n]
+    for p in range(1, terms):
+        w = w * u
+        kernel = kernel * a / p
+        out += np.convolve(np.bincount(c, weights=w, minlength=n), kernel)[half : half + n]
+    return on
 
 
 def shift(obj, delta: float):
@@ -262,15 +381,37 @@ def _write_table(path, meta: dict, extra_meta: dict | None, columns: str, *array
     """``meta`` and ``extra_meta`` as ``# key = value`` lines (``_HEADER_KEYS``
     first, then sorted; ``None`` left out), ``# columns``, ``.9g`` rows of ``arrays``.
 
-    All rows are formatted by one ``%`` over the row-major values and the
-    file is written in one call; ``%.9g`` prints what ``{:.9g}`` does."""
+    Values are distinct by bit pattern, so ``-0.0`` prints ``-0``. A column
+    with at most half as many distinct values as rows has each formatted once
+    and its texts gathered by row; any other column is formatted in the rows,
+    which makes no string per value. The rows go out in blocks of
+    ``_BLOCK_ROWS``, each formatted by one ``%`` over its row-major values;
+    ``%.9g`` prints what ``{:.9g}`` does."""
     meta = {**meta, **(extra_meta or {})}
     keys = [*_HEADER_KEYS, *sorted(meta.keys() - set(_HEADER_KEYS))]
     header = "".join(f"# {k} = {meta[k]}\n" for k in keys if meta.get(k) is not None)
-    row = " ".join(["%.9g"] * len(arrays)) + "\n"
-    values = np.column_stack(arrays).ravel().tolist()
+    cells = []              # per column: (texts, each row's text index) or (values, None)
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        bits = a.view(np.uint64)
+        ordered = np.sort(bits)
+        first = ordered[1:] != ordered[:-1]     # where a new value starts
+        if 2 * (np.count_nonzero(first) + 1) <= bits.size:
+            distinct = np.concatenate((ordered[:1], ordered[1:][first]))
+            texts = np.array(["%.9g" % v for v in distinct.view(float).tolist()], dtype=object)
+            cells.append((texts, np.searchsorted(distinct, bits)))
+        else:
+            cells.append((a, None))
+    row = " ".join("%.9g" if rows is None else "%s" for _, rows in cells) + "\n"
+    n = len(arrays[0])
     with open(path, "w") as fh:
-        fh.write(f"{header}# {columns}\n" + (row * len(arrays[0])) % tuple(values))
+        fh.write(f"{header}# {columns}\n")
+        for lo in range(0, n, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, n)
+            block = np.empty((hi - lo, len(cells)), dtype=object)
+            for k, (values, rows) in enumerate(cells):
+                block[:, k] = values[lo:hi] if rows is None else values[rows[lo:hi]]
+            fh.write((row * (hi - lo)) % tuple(block.ravel().tolist()))
 
 
 def write_linelist(lines: LineList, path, extra_meta: dict | None = None):

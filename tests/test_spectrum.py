@@ -9,9 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR, lookup
+from defectspin import spectrum
 from defectspin.isotopologues import apply_pattern, composite_lines, enumerate_patterns
 from defectspin.solvers import MODE_ACONST, MODE_FULL, LineList, perturb_lines
 from defectspin.spectrum import (
+    _BLOCK_ROWS,
     DEFAULT_WINDOW,
     KERNEL_REACH,
     Spectrum,
@@ -20,6 +22,7 @@ from defectspin.spectrum import (
     perturb_stats,
     shift,
     synthesize,
+    _write_table,
     write_linelist,
     write_spectrum,
 )
@@ -206,8 +209,15 @@ _LINE = st.tuples(
 )
 
 
-def _placed(specs, grid, width):
-    """Frequencies and masses of ``_LINE`` draws on ``grid``."""
+# Bulk lines, past the line count at which synthesize takes its Gauss
+# transform: how many, and the seed that places them.
+_BULK = st.tuples(st.sampled_from([0, 600, 2500, 5000]), st.integers(0, 2**32 - 1))
+
+
+def _placed(specs, grid, width, bulk=(0, 0)):
+    """Frequencies and masses of ``_LINE`` draws on ``grid``, then of
+    ``bulk[0]`` lines spread from 2 * 9 sigma below the grid to as far above
+    it, most on the grid and some off it, placed by the seed ``bulk[1]``."""
     lo, hi = grid[0], grid[-1]
     reach = (KERNEL_REACH + 1e-6) * width / GAUSSIAN_FWHM_FACTOR
     place = {
@@ -218,7 +228,11 @@ def _placed(specs, grid, width):
         "above": lambda u: hi + reach * (1.0 + 3.4 * u),
     }
     freqs = np.array([place[where](u) for where, u, _ in specs])
-    return freqs, np.array([w for _, _, w in specs])
+    mass = np.array([w for _, _, w in specs])
+    rng = np.random.default_rng(bulk[1])
+    margin = min(2.0 * reach, hi - lo)
+    return (np.concatenate([freqs, rng.uniform(lo - margin, hi + margin, bulk[0])]),
+            np.concatenate([mass, rng.uniform(1e-3, 1.0, bulk[0])]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -228,21 +242,27 @@ def _placed(specs, grid, width):
     count=st.integers(1, 300),
     log_width=st.floats(-2.0, 2.0),
     specs=st.lists(_LINE, min_size=1, max_size=8),
+    bulk=_BULK,
 )
 @example(start=0.0, log_step=0.0, count=50, log_width=2.0,
-         specs=[("inside", 0.3, 1.0), ("above", 0.0, 0.5)])          # W = n
+         specs=[("inside", 0.3, 1.0), ("above", 0.0, 0.5)], bulk=(0, 0))    # W = n
+@example(start=0.0, log_step=-1.0, count=300, log_width=1.6,
+         specs=[("inside", 0.3, 1.0), ("above", 0.0, 0.5)], bulk=(5000, 1))  # W = n, bulk
 @example(start=5.0, log_step=-1.0, count=1, log_width=0.0,
-         specs=[("inside", 0.0, 1.0), ("below", 0.5, 0.2)])          # one point
+         specs=[("inside", 0.0, 1.0), ("below", 0.5, 0.2)], bulk=(2500, 2))  # one point
 @example(start=0.0, log_step=-1.0, count=20, log_width=308.0,
-         specs=[("inside", 0.5, 1.0)])                    # 9 sigma overflows
+         specs=[("inside", 0.5, 1.0)], bulk=(0, 0))        # 9 sigma overflows
 @example(start=-3.0, log_step=-1.0, count=100, log_width=0.0,
          specs=[("inside", 0.5, 1.0)] * 30 + [("inside", 0.5001, 0.7)]
-         + [("low-edge", 0.0, 0.3), ("below", 0.2, 0.5), ("below", 0.9, 0.1)])  # shared starts
-def test_synthesize_matches_dense_sum(start, log_step, count, log_width, specs):
+         + [("low-edge", 0.0, 0.3), ("below", 0.2, 0.5), ("below", 0.9, 0.1)],
+         bulk=(0, 0))                                     # shared starts
+@example(start=99.0, log_step=-2.0, count=300, log_width=-1.2,
+         specs=[("inside", 0.5, 1.0)], bulk=(5000, 3))    # ulp drift near sigma
+def test_synthesize_matches_dense_sum(start, log_step, count, log_width, specs, bulk):
     step, width = 10.0 ** log_step, 10.0 ** log_width
     grid = np.arange(start, start + (count - 0.5) * step, step)
     assert grid.size == count
-    freqs, mass = _placed(specs, grid, width)
+    freqs, mass = _placed(specs, grid, width, bulk)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         spec = synthesize(_lines(freqs, weights=mass), grid, per_line_width=width)
@@ -256,12 +276,14 @@ def test_synthesize_matches_dense_sum(start, log_step, count, log_width, specs):
     count=st.integers(1, 300),
     log_width=st.floats(-2.0, 2.0),
     specs=st.lists(_LINE, min_size=1, max_size=40),
+    bulk=_BULK,
     data=st.data(),
 )
-def test_synthesize_is_independent_of_line_order(log_step, count, log_width, specs, data):
+def test_synthesize_is_independent_of_line_order(log_step, count, log_width, specs, bulk,
+                                                  data):
     step, width = 10.0 ** log_step, 10.0 ** log_width
     grid = step * np.arange(count)
-    freqs, mass = _placed(specs, grid, width)
+    freqs, mass = _placed(specs, grid, width, bulk)
     order = np.array(data.draw(st.permutations(range(freqs.size))))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -269,6 +291,45 @@ def test_synthesize_is_independent_of_line_order(log_step, count, log_width, spe
         shuffled = synthesize(_lines(freqs[order], weights=mass[order]), grid,
                               per_line_width=width)
     np.testing.assert_allclose(shuffled.intensity, spec.intensity, rtol=0.0, atol=1e-12)
+
+
+def _paths_taken(monkeypatch) -> list[bool]:
+    """Record, per ``synthesize`` call, whether it took the Gauss transform."""
+    taken = []
+    transform = spectrum._gauss_transform
+
+    def spy(*args):
+        done = transform(*args)
+        taken.append(done is not None)
+        return done
+
+    monkeypatch.setattr(spectrum, "_gauss_transform", spy)
+    return taken
+
+
+def test_many_lines_on_a_fine_grid_take_the_gauss_transform(monkeypatch):
+    taken = _paths_taken(monkeypatch)
+    rng = np.random.default_rng(0)
+    grid = spectrum._uniform_grid(0.0, 300.0, 0.25)
+    freqs, mass = rng.uniform(60.0, 240.0, 13824), rng.uniform(1e-3, 1.0, 13824)
+    for count, path in ((13824, True), (20, False)):
+        spec = synthesize(_lines(freqs[:count], weights=mass[:count]), grid)
+        assert taken[-1] is path
+        expected = _dense_reference(freqs[:count], mass[:count], grid, 1.0)
+        np.testing.assert_allclose(spec.intensity, expected, rtol=0.0, atol=1e-12)
+
+
+def test_a_grid_drifting_past_a_few_ulps_takes_the_per_offset_pass(monkeypatch):
+    taken = _paths_taken(monkeypatch)
+    grid = spectrum._uniform_grid(0.0, 300.0, 0.25)
+    assert spectrum._drift(grid, 0.25) == 0.0
+    grid[600] += 1e-10 * 0.25                   # _check_grid allows 1e-9 of a step
+    assert spectrum._drift(grid, 0.25) == grid[600] - 150.0
+    freqs = np.random.default_rng(1).uniform(60.0, 240.0, 13824)
+    spec = synthesize(_lines(freqs), grid)
+    assert taken == [False]
+    expected = _dense_reference(freqs, np.full(freqs.size, 1.0 / freqs.size), grid, 1.0)
+    np.testing.assert_allclose(spec.intensity, expected, rtol=0.0, atol=1e-12)
 
 
 def test_shift_linelist_moves_frequencies_and_records():
@@ -521,6 +582,42 @@ def test_write_spectrum_bytes_match_format_writer(tmp_path, grid, intensity):
     _format_writer(tmp_path / "slow.tsv", spec.meta, {"seed": 2},
                    "frequency_MHz intensity", spec.grid, spec.intensity)
     assert (tmp_path / "fast.tsv").read_bytes() == (tmp_path / "slow.tsv").read_bytes()
+
+
+# Row counts around the writer's block size, and values whose texts are
+# easy to get wrong: both zeros, the smallest subnormal, a large power of ten,
+# a tie at the ninth digit and a sum that does not round to 0.3.
+_ROWS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS]
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e22, 123456789.5, 0.1 + 0.2]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# A column: a small pool, whose values repeat down the rows, or None for
+# values that are nearly all distinct; then the seed that fills the rows.
+_COLUMN = st.tuples(
+    st.one_of(st.none(), st.lists(st.one_of(st.sampled_from(_AWKWARD), _FINITE),
+                                  min_size=1, max_size=6)),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _column(pool, seed, rows):
+    rng = np.random.default_rng(seed)
+    if pool is None:
+        values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+        awkward = rng.random(rows) < 0.05
+        values[awkward] = rng.choice(_AWKWARD, awkward.sum())
+        return values
+    return np.array(pool)[rng.integers(0, len(pool), rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from(_ROWS), columns=st.lists(_COLUMN, min_size=1, max_size=3))
+def test_write_table_bytes_match_format_writer(tmp_path_factory, rows, columns):
+    arrays = [_column(pool, seed, rows) for pool, seed in columns]
+    names = " ".join(f"c{k}" for k in range(len(arrays)))
+    tmp = tmp_path_factory.mktemp("table")
+    _write_table(tmp / "fast.tsv", {"method": "test"}, {"seed": 1}, names, *arrays)
+    _format_writer(tmp / "slow.tsv", {"method": "test"}, {"seed": 1}, names, *arrays)
+    assert (tmp / "fast.tsv").read_bytes() == (tmp / "slow.tsv").read_bytes()
 
 
 # Random sites for the closed-form statistics: an isotope, principal values
