@@ -177,7 +177,8 @@ def _resolve_system(args) -> tuple[SpinSystem, str | None]:
     return build_system(record, {"C": "13C"} if args.carbon13 else None), version
 
 
-def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
+def _pattern_counts(args) -> tuple[dict[str, int], str]:
+    """The isotope counts of ``--pattern`` and the one element they cover."""
     counts: dict[str, int] = {}
     for chunk in args.pattern.split(","):
         if not chunk:
@@ -201,7 +202,11 @@ def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
         raise UsageError(f"argument --pattern: {exc.args[0]}") from None
     if len(elements) != 1:
         raise UsageError("explicit patterns cover exactly one element")
-    element = elements.pop()
+    return counts, elements.pop()
+
+
+def _parse_pattern(args, system: SpinSystem) -> IsotopePattern:
+    counts, element = _pattern_counts(args)
     groups = _groups(system, (element,))
     if len(groups) != 1:
         raise UsageError(
@@ -365,6 +370,9 @@ def cmd_compare_methods(args) -> int:
 
 
 def cmd_isotopes(args) -> int:
+    # Carbon patterns rescale the dataset's 13C couplings, as --carbon13 would:
+    # 12C has none to rescale. An explicit pattern names its own element.
+    args.carbon13 = (_pattern_counts(args)[1] if args.pattern else args.element) == "C"
     system, _ = _resolve_system(args)
     if args.pattern:
         patterns = [_parse_pattern(args, system)]

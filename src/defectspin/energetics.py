@@ -16,12 +16,13 @@ and a negative value favors complex formation.
 
 from __future__ import annotations
 
+import functools
 import sys
 import warnings
 from dataclasses import dataclass
 
 from .system import OBJECTS, STRING, STRINGS, DatasetError, dataset_path, read_fields
-from .system import read_json, read_text
+from .system import parse_json, read_json, read_text
 
 INDIRECT_GAP_EV = 5.950     # hBN indirect gap; CBM reference for flagging
 
@@ -226,15 +227,25 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
     ``label``, ``charge``, ``energy_eV``, ``correction_eV``, ``flag``, where
     ``null`` marks an unavailable correction. Both forms read a missing
     correction as 0.0.
+
+    Every call reads the file, but a content parsed before is not parsed
+    again: its records, which are frozen, are reused in a new list.
     """
     if path is None:
         path = dataset_path("energies")
+    return list(_parse_energy_records(path, read_text(path, "energy records")))
+
+
+# Keyed by content, as the defect dataset is. Errors are raised, never cached.
+@functools.lru_cache(maxsize=8)
+def _parse_energy_records(path: str, text: str) -> tuple[EnergyRecord, ...]:
+    """The records of the energy file ``text`` read from ``path``."""
     if path.endswith(".json"):
-        doc = read_json(path, "energy records")
+        doc = parse_json(text, path)
         doc = doc if isinstance(doc, dict) else {"records": doc}
         raw_records, = read_fields(doc, path, (("records", OBJECTS),))
-        return [_record_from_json(raw, f"{path}: record #{i}") for i, raw in enumerate(raw_records)]
-    text = read_text(path, "energy records")
+        return tuple(_record_from_json(raw, f"{path}: record #{i}")
+                     for i, raw in enumerate(raw_records))
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -250,7 +261,7 @@ def load_energy_records(path: str | None = None) -> list[EnergyRecord]:
         if raw.get("correction_eV") == "-":
             raw["correction_eV"] = None
         records.append(_record_from_json(raw, f"{path}: line {lineno}"))
-    return records
+    return tuple(records)
 
 
 _COMPLEXES_FIELDS = (("pristine", STRING, "pristine"), ("complexes", OBJECTS, []))

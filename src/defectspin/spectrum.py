@@ -28,7 +28,8 @@ DEFAULT_LINE_WIDTH = 1.0                # MHz FWHM per line
 KERNEL_REACH = 9.0
 
 # The Gauss transform in synthesize is taken only when its error bound,
-# Taylor truncation plus grid drift, is within this share of the peak.
+# Taylor truncation plus grid drift, is within this share of the peak, with
+# at most this many terms.
 _TRANSFORM_TOL = 5e-13
 _TERMS_MAX = 40
 # Cost weights that pick synthesize's path, in ns, measured with numpy 2.4 on
@@ -45,8 +46,11 @@ _NS_CONV_MAC = 0.065
 
 # Fixed header key order so identical runs serialize byte-identically.
 _HEADER_KEYS = ("field", "method", "seed", "shift", "window")
-# Rows written per block: the texts of one block are held at once.
-_BLOCK_ROWS = 4096
+# Rows written per block: one block's values and texts are held at once. With
+# 2,048 rows a block's float objects take 150 kB of Python's small-object
+# heap; with 4,096, readme-cli's peak RSS read 2 MB higher, as that heap grew
+# in steps at the render op.
+_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,7 @@ def synthesize(
       taken only where that bound plus the grid's drift from uniform keep
       every point within ``_TRANSFORM_TOL`` of the peak.
 
-    A point farther than 9 sigma from every line is 0 on the per-offset
-    pass; the transform leaves it within its bound of 0.
+    A grid point that no line's window of W points reaches is exactly 0.
 
     Raises ``ValueError`` for a grid that is empty, not finite or not
     uniform, for lines with a non-finite frequency, and when a line's

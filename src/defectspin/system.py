@@ -366,7 +366,7 @@ def read_text(path: str, what: str) -> str:
         raise DatasetError(f"cannot read {what}: {exc}") from None
 
 
-def _parse_json(text: str, path: str):
+def parse_json(text: str, path: str):
     """The JSON document ``text`` read from ``path``, which errors name."""
     try:
         return json.loads(text)
@@ -376,7 +376,7 @@ def _parse_json(text: str, path: str):
 
 def read_json(path: str, what: str):
     """The JSON document at ``path``, read as ``read_text`` reads it."""
-    return _parse_json(read_text(path, what), path)
+    return parse_json(read_text(path, what), path)
 
 
 def _version(doc) -> str:
@@ -425,7 +425,7 @@ def load_versioned_dataset(path: str | None = None) -> tuple[list[DefectRecord],
 def _dataset_document(path: str, text: str):
     """The defect dataset ``text`` read from ``path``, parsed once per content
     for its records and its version; no caller modifies it."""
-    return _parse_json(text, path)
+    return parse_json(text, path)
 
 
 @functools.lru_cache(maxsize=8)

@@ -769,6 +769,27 @@ def test_isotopes_pattern_columns_name_its_isotopes(capsys):
     assert row[:3] == ["1", "2", "100"]
 
 
+@pytest.mark.parametrize("defect", ["CB0", "CN0"])
+def test_isotopes_of_carbon_rescale_the_dataset_13c_couplings(capsys, tmp_path, defect):
+    code, out, err = _run(capsys, ["isotopes", "--defect", defect, "--element", "C",
+                                   "--format", "csv"])
+    assert code == 0, err
+    header, *rows = [ln.split(",") for ln in out.splitlines()]
+    assert header[:3] == ["n_12C", "n_13C", "p_percent"]
+    assert [r[:3] for r in rows] == [["1", "0", "98.9"], ["0", "1", "1.1"]]
+    for pattern, row in (("12C:1", rows[0]), ("13C:1", rows[1])):
+        code, out, err = _run(capsys, ["isotopes", "--defect", defect, "--pattern", pattern,
+                                       "--format", "csv"])
+        assert code == 0, err
+        assert out.splitlines()[1].split(",")[3:] == row[3:]
+    # A system file names its own isotopes: 12C sites still have nothing to rescale.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(build_system(find_defect(load_defect_dataset(), defect)).to_dict()))
+    code, out, err = _run(capsys, ["isotopes", "--system", str(path), "--element", "C"])
+    assert (code, out) == (1, "")
+    assert err == "defectspin: error: 12C carries no hyperfine coupling to rescale\n"
+
+
 def test_isotopes_output_deterministic(capsys):
     _, first, _ = _run(capsys, ["isotopes", "--defect", "CB0", "--format", "csv"])
     _, second, _ = _run(capsys, ["isotopes", "--defect", "CB0", "--format", "csv"])

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from defectspin import energetics
 from defectspin.energetics import (
     INDIRECT_GAP_EV,
     CtlResult,
@@ -411,3 +412,32 @@ def test_load_complexes_parse_error_names_the_reason(tmp_path):
 
 def test_gap_constant():
     assert INDIRECT_GAP_EV == pytest.approx(5.950)
+
+
+@pytest.mark.parametrize("name, good, edited, broken", [
+    ("energies.txt", "X 0 -1.0\nX 1 -2.0 0.1\n", "X 0 -1.5\n", "X 0\n"),
+    ("energies.json",
+     json.dumps([{"label": "X", "charge": 0, "energy_eV": -1.0},
+                 {"label": "X", "charge": 1, "energy_eV": -2.0, "correction_eV": 0.1}]),
+     json.dumps([{"label": "X", "charge": 0, "energy_eV": -1.5}]),
+     json.dumps([{"label": "X", "charge": 0}])),
+])
+def test_energy_records_are_parsed_once_per_content(tmp_path, monkeypatch, name, good,
+                                                     edited, broken):
+    path = tmp_path / name
+    path.write_text(good)
+    parsed = []
+    record_from_json = energetics._record_from_json
+    monkeypatch.setattr(energetics, "_record_from_json",
+                        lambda raw, where: parsed.append(where) or record_from_json(raw, where))
+    first, second = load_energy_records(str(path)), load_energy_records(str(path))
+    assert first == second and first is not second
+    assert len(parsed) == 2                     # two records, parsed by the first call
+    first.clear()                               # each caller has its own list
+    assert len(load_energy_records(str(path))) == 2
+    path.write_text(edited)                     # an edited file is seen
+    assert [r.energy for r in load_energy_records(str(path))] == [-1.5]
+    path.write_text(broken)                     # and a broken one fails on every call
+    for _ in range(2):
+        with pytest.raises(DatasetError, match="energy_eV|expected 'label"):
+            load_energy_records(str(path))
