@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR, lookup
 from defectspin import spectrum
+from defectspin.isotopes import GAUSSIAN_FWHM_FACTOR, lookup
 from defectspin.isotopologues import apply_pattern, composite_lines, enumerate_patterns
 from defectspin.solvers import MODE_ACONST, MODE_FULL, LineList, perturb_lines
 from defectspin.spectrum import (
@@ -585,10 +585,11 @@ def test_write_spectrum_bytes_match_format_writer(tmp_path, grid, intensity):
 
 
 # Row counts around the writer's block size, and values whose texts are
-# easy to get wrong: both zeros, the smallest subnormal, a large power of ten,
-# a tie at the ninth digit and a sum that does not round to 0.3.
+# easy to get wrong: both zeros, the smallest subnormals, a large power of
+# ten, a tie at the ninth digit, and 0.1 + 0.2 next to 0.3: two bit patterns,
+# one text.
 _ROWS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS]
-_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e22, 123456789.5, 0.1 + 0.2]
+_AWKWARD = [0.0, -0.0, 5e-324, -5e-324, 1e22, 123456789.5, 0.1 + 0.2, 0.3]
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 # A column: a small pool, whose values repeat down the rows, or None for
 # values that are nearly all distinct; then the seed that fills the rows.
