@@ -73,13 +73,6 @@ _SHIFT_TOLERANCE = 1e-9
 # lines pass INTENSITY_FLOOR. Goes when ROADMAP item 7 sums the moments over
 # degenerate clusters.
 _DEGENERACY_TOLERANCE = 1e-11
-# Block eigenvectors of levels at most this times max |E| apart are refined
-# (``_sharpen``); the rest mix by about eps / _CLOSE_GAP (2e-10) at most.
-# CN0's parity blocks along c hold 1-2 such pairs at 150-300 G, and dozens
-# below 1e-4, where refining would cost more than the eigh; its threefold
-# sectors hold none (no two levels closer than 3.6e-5, with or without 13C
-# and EFGs).
-_CLOSE_GAP = 1e-6
 # A site is another's image (or its own) under the 120-degree turn about c
 # when its tensors equal the other's turned to this fraction of their largest
 # entry; H maps to itself under the turn when its entries do, to this
@@ -512,7 +505,7 @@ class _Split(NamedTuple):
     """Sectors of the basis that H does not mix (read-only arrays).
 
     Row k < ``sizes[s]`` of sector s is the orbit sum of basis state
-    ``rows[s, k]`` (the state itself when nothing is turned); the rows past
+    ``rows[s, k]`` (the state itself when the turn fixes it); the rows past
     it pad every sector to one length, with zero weights and scales. H's
     block of sector s is the leading ``sizes[s]`` square of
     ``scales[s, :, None] * sum_l H[rows[s, :, None], cols[s, l]] * weights[s, l]``.
@@ -546,17 +539,6 @@ def _padded(column) -> np.ndarray:
     return padded
 
 
-def _frozen_split(sectors, real=None) -> _Split:
-    """``_Split`` of (side, rows, cols, weights, scales, places) per sector,
-    and of (twins, alphas, betas) per sector for a real form, empty sectors
-    left out."""
-    live = [k for k, sector in enumerate(sectors) if sector[1].size]
-    sides, *arrays = zip(*(sectors[k] for k in live))
-    if real is not None:
-        real = tuple(map(_padded, zip(*(real[k] for k in live))))
-    return _Split(*map(_padded, arrays), real, sides, tuple(rows.size for rows in arrays[0]))
-
-
 @lru_cache(maxsize=32)
 def _levels(dims: tuple[int, ...]) -> np.ndarray:
     """n_b, the sum of factor indices of each basis state (read-only): J_z is
@@ -564,17 +546,6 @@ def _levels(dims: tuple[int, ...]) -> np.ndarray:
     level = np.indices(dims).reshape(len(dims), -1).sum(axis=0)
     level.flags.writeable = False
     return level
-
-
-@lru_cache(maxsize=32)
-def _parity_split(dims: tuple[int, ...]) -> _Split:
-    """The even and the odd parity block, each listed by nuclear index: row k
-    of one is the electron-flipped partner of row k of the other."""
-    half = math.prod(dims) // 2
-    even = (_levels(dims)[:half] & 1) * half + np.arange(half)
-    odd = (even + half) % (2 * half)
-    return _frozen_split([(side, rows, rows[None], np.ones((1, half)), np.ones(half),
-                           np.arange(half)) for side, rows in enumerate((even, odd))])
 
 
 @lru_cache(maxsize=32)
@@ -656,7 +627,10 @@ def _threefold_split(dims: tuple[int, ...], images: tuple[int, ...], mirror) -> 
         sector.append(starts[r] + np.arange(sizes[r]) if r % 2 == 0 else np.concatenate((
             starts[above] + ups[above] + np.arange(ups[r]),
             starts[below] + np.arange(sizes[r] - ups[r]))))
-    return _frozen_split(sectors, real or None)
+    live = [k for k in range(6) if sizes[k]]                # empty sectors left out
+    sides, *arrays = zip(*(sectors[k] for k in live))
+    real = tuple(map(_padded, zip(*(real[k] for k in live)))) if real else None
+    return _Split(*map(_padded, arrays), real, sides, tuple(sizes[k] for k in live))
 
 
 def _site_moves(sites, tensors: np.ndarray, mapped: np.ndarray) -> np.ndarray:
@@ -741,78 +715,42 @@ def _turn_commutes(m: np.ndarray, rows: np.ndarray, cols: np.ndarray, dims, imag
     """Whether the turn C of ``_threefold_split`` maps H to itself: at each of
     its nonzero entries (``rows``, ``cols``),
     H[C a, C b] = omega**(n_a - n_b) H[a, b] to ``_SYMMETRY_TOLERANCE`` of
-    max |H|. As C**3 = 1, an entry the turn brings into a zero fails too."""
+    max |H|. As C**3 = 1, an entry the turn brings into a zero fails too; an
+    H of zeros commutes."""
     step, level = _moved_states(dims, images), _levels(dims)
     values = m[rows, cols]
     omega = np.exp(2j * math.pi / 3.0 * np.arange(3))
     moved = m[step[rows], step[cols]] - omega[(level[rows] - level[cols]) % 3] * values
-    return np.abs(moved).max() <= _SYMMETRY_TOLERANCE * np.abs(values).max()
+    return np.abs(moved).max(initial=0.0) <= _SYMMETRY_TOLERANCE * np.abs(values).max(initial=0.0)
 
 
 def _sectors(h: HamiltonianMatrix, system: SpinSystem) -> _Split | None:
-    """The finest ``_Split`` that holds for ``h``, or ``None``.
+    """The six sectors of C3 x parity (``_threefold_split``) when they hold
+    for ``h``, else ``None``.
 
-    Parity (n_b mod 2, ``_levels``) holds when H has no entry between its
-    two blocks: B along c, with c a principal axis of g and of every tensor.
-    Row 0 holds the transverse Zeeman terms, so a tilted field stops after
-    O(n) work; otherwise each nonzero entry of H is tested. With B along c
-    (O(1)), the 120-degree turn about c may map the sites to themselves
-    (``_threefold_images``); H splits into six sectors when the turn maps H
-    to itself too (``_turn_commutes``, on the same entries). The sites only
-    propose the turn and H decides, so an H with a term the sites do not
-    show, or built from another system of the same layout, gets the split
-    its own entries allow. A mirror through c that maps the sites to
-    themselves (``_mirror_images``) gives the split a real form, which
-    ``_block_pairs`` keeps only when it makes the blocks real.
+    They hold when B lies along c (an O(1) test), the 120-degree turn about c
+    maps the sites to themselves (``_threefold_images``, kept per site
+    tuple), H has no entry between its two parity blocks (n_b mod 2,
+    ``_levels``; c a principal axis of g and of every tensor) and the turn
+    maps H to itself (``_turn_commutes``). Only the last two read H, one
+    test of each nonzero entry, so a tilted field or sites without the turn
+    stop before H is scanned. The sites only propose the turn and H decides,
+    so an H with a term the sites do not show, or built from another system
+    of the same layout, is solved in full. A mirror through c that maps the
+    sites to themselves (``_mirror_images``) gives the split a real form,
+    which ``_block_pairs`` keeps only when it makes the blocks real.
     """
-    parity = _parity_split(h.dims)
-    if h.matrix[0, parity.rows[1]].any():
+    if not h.field[0] == h.field[1] == 0.0:
+        return None
+    images = _threefold_images(system.sites)
+    if images is None:
         return None
     rows, cols = np.divmod(np.flatnonzero(h.matrix != 0), h.dimension)
     level = _levels(h.dims)
-    if ((level[rows] ^ level[cols]) & 1).any():
+    if ((level[rows] ^ level[cols]) & 1).any() or not _turn_commutes(
+            h.matrix, rows, cols, h.dims, images):
         return None
-    if h.field[0] == h.field[1] == 0.0:
-        images = _threefold_images(system.sites)
-        if images is not None and _turn_commutes(h.matrix, rows, cols, h.dims, images):
-            return _threefold_split(h.dims, images, _mirror_images(system.sites, images))
-    return parity
-
-
-def _sharpen(a: np.ndarray, levels: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """``eigh``'s eigenvectors of ``a``, with one refinement step on each
-    level that lies within ``_CLOSE_GAP`` times max |E| of a neighbour.
-
-    ``eigh`` mixes two levels a gap g apart by up to eps max|E| / g, which
-    moves their moments by as much (5e-7 at a relative gap of 4e-10). One
-    Newton step (Ogita and Aishima, 2018) removes that mixing: with the
-    residuals R = A Q - Q diag(E) of the close columns,
-    Q[:, j] += sum_i Q[:, i] (Q^H R)[i, j] / (E[j] - E[i]). Only R needs more
-    than double precision; it is summed in ``np.longdouble`` over the
-    nonzeros of ``a`` (few per row), so the cost is nnz k + n k^2 for k close
-    columns. The mixing left is about eps max|E| / g squared, plus
-    ``longdouble``'s own eps max|E| / g (nothing gained where ``longdouble``
-    is double). Levels farther apart are left as ``eigh`` gave them: they
-    mix by at most eps / ``_CLOSE_GAP``.
-    """
-    close = np.diff(levels) <= _CLOSE_GAP * np.abs(levels).max()
-    if not close.any():
-        return vectors
-    cols = np.flatnonzero(np.concatenate(([False], close)) | np.concatenate((close, [False])))
-    q = vectors[:, cols]
-    nonzero = np.flatnonzero(a.ravel() != 0)
-    rows, inner = np.divmod(nonzero, a.shape[1])
-    wide = np.clongdouble if np.iscomplexobj(vectors) else np.longdouble
-    terms = np.multiply(a.ravel()[nonzero, None], q[inner], dtype=wide)
-    firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-    aq = np.zeros(q.shape, dtype=wide)
-    aq[rows[firsts]] = np.add.reduceat(terms, firsts, axis=0)
-    residual = (aq - q.astype(wide) * levels[cols].astype(wide)).astype(q.dtype)
-    gap = levels[cols][None, :] - levels[cols][:, None]
-    np.fill_diagonal(gap, np.inf)
-    sharpened = vectors.copy()
-    sharpened[:, cols] += q @ ((q.conj().T @ residual) / gap)
-    return sharpened
+    return _threefold_split(h.dims, images, _mirror_images(system.sites, images))
 
 
 def _real_form(blocks: np.ndarray, twins, alphas, betas) -> np.ndarray:
@@ -836,9 +774,9 @@ def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
     ``None`` when H does not split or its spectrum has a gap within
     ``_DEGENERACY_TOLERANCE`` of max |E|.
 
-    Each block is gathered from H's entries (``_Split``); orbit sums are
-    taken to the split's real form when it has one (``_real_form``) and made
-    exactly Hermitian, and parity blocks are H's own entries. The
+    Each block is gathered from H's entries (``_Split``) as orbit sums, taken
+    to the split's real form when it has one (``_real_form``) and made
+    exactly Hermitian (each side of the diagonal rounds apart). The
     eigenvectors are placed by row on their side, so one product gives every
     moment; pairs of sectors that S_x does not link get exact zeros.
     """
@@ -848,25 +786,22 @@ def _block_pairs(h: HamiltonianMatrix, system: SpinSystem, floor: float):
     gathered = h.matrix[split.rows[:, None, :, None], split.cols[:, :, None, :]]
     gathered *= split.weights[:, :, None, :]
     summed = gathered[:, 0]
-    if gathered.shape[1] > 1:           # orbit sums: each side of the diagonal rounds apart
-        summed += gathered[:, 1:].sum(axis=1)
-        summed *= split.scales[:, :, None]
-        if split.real is not None:
-            summed = _real_form(summed, *split.real)
-        summed += summed.conj().transpose(0, 2, 1)
-        summed *= 0.5
-    blocks = [block[:size, :size] for block, size in zip(summed, split.sizes)]
-    solved = [np.linalg.eigh(block) for block in blocks]
+    summed += gathered[:, 1:].sum(axis=1)
+    summed *= split.scales[:, :, None]
+    if split.real is not None:
+        summed = _real_form(summed, *split.real)
+    summed += summed.conj().transpose(0, 2, 1)
+    summed *= 0.5
+    solved = [np.linalg.eigh(block[:size, :size]) for block, size in zip(summed, split.sizes)]
     merged = np.sort(np.concatenate([energies for energies, _ in solved]))
     if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
         return None
     half = h.dimension // 2
     states = np.zeros((2, half, half), dtype=summed.dtype)
     levels: list[list[np.ndarray]] = [[], []]
-    for block, (energies, vectors), side, places in zip(blocks, solved, split.sides, split.places):
+    for (energies, vectors), side, places in zip(solved, split.sides, split.places):
         start = sum(map(len, levels[side]))
-        states[side, places[: len(energies)], start:start + len(energies)] = _sharpen(
-            block, energies, vectors)
+        states[side, places[: len(energies)], start:start + len(energies)] = vectors
         levels[side].append(energies)
     even, odd = (np.concatenate(side) for side in levels)
     moments = np.abs(0.5 * (states[1].conj().T @ states[0])) ** 2
@@ -889,23 +824,24 @@ def exact_transitions(
     lower halves of each eigenvector: with X = U_up^H U_dn,
     <f|S_x|i> = (X[f, i] + conj(X[i, f]))/2, and ``eigh`` (n^3) sets the cost.
 
-    When H has no element between the two parity blocks (B along c, with c
-    a principal axis of g and of every tensor), the blocks are diagonalized
-    apart (``_sectors``): two (n/2)^3 ``eigh``s and one (n/2)^3 moment
-    product, a quarter to a third of the full cost. When, with B along c,
-    the 120-degree turn about c also maps the sites to themselves (the
-    bundled shells, with or without 13C and EFGs) and H to itself, each
-    parity block splits again into the three eigenspaces of the turn: six
-    ``eigh``s of about n/6, real ones when a mirror through c maps the sites
-    and H to themselves too. Only the n^2/4 pairs across the parity blocks
-    are emitted; the pairs inside one have a zero moment, so even a floor of
-    0 returns none of them, and pairs between sectors that S_x does not link
-    come with a moment of exactly 0. A tilted field is found to mix the blocks after O(n) work.
+    Two strategies. With B along +-c, when the 120-degree turn about c maps
+    the sites to themselves (the bundled shells, with or without 13C and
+    EFGs) and H to itself, and H has no element between its two parity
+    blocks (c a principal axis of g and of every tensor), H is diagonalized
+    in the six sectors of the turn and parity (``_sectors``): six ``eigh``s
+    of about n/6, real ones when a mirror through c maps the sites and H to
+    themselves too. Every other H takes one ``eigh`` of the whole matrix: a
+    tilted field, found after O(1) work, and a c-axis system without the
+    turn (a mixed-isotope or partial shell), found once its sites are tested.
     A split spectrum with near-degenerate levels (CB0, whose three equal 14N
-    give levels degenerate across sectors) is solved in full instead, so the
-    floor sees the same moments as before. Inside a block, the eigenvectors
-    of close levels get one refinement step (``_sharpen``), so the block
-    moments do not inherit ``eigh``'s mixing of those levels.
+    give levels degenerate across sectors) is solved in full too, so the
+    floor sees the full solve's moments.
+
+    A floor of 0 keeps every pair the strategy forms. The sectors form the
+    n^2/4 pairs across the parity blocks: a pair inside one has a zero
+    moment and is not formed, and a pair between sectors that S_x does not
+    link comes with a moment of exactly 0. The full solve forms every upward
+    pair, n(n - 1)/2.
 
     Raises ``ValueError`` when ``intensity_floor`` is not a number in
     [0, 1] (NaN included) or ``system`` does not match ``h``'s layout.

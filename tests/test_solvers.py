@@ -387,16 +387,47 @@ def _assert_full_solve_bytes(sub, h):
         assert np.array_equal(lines.intensities, intens)
 
 
-def test_tilted_field_stops_the_split_test_at_row_zero(monkeypatch):
-    # Row 0's entries across the blocks hold the transverse Zeeman terms.
+def _spied(monkeypatch, *names):
+    """The names, in call order, of the calls to the solvers' functions
+    ``names``, which still run."""
+    calls = []
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(solvers, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(solvers, name, spy)
+    return calls
+
+
+def test_tilted_field_stops_the_split_test_at_the_field(monkeypatch):
+    # The field test is O(1): a tilted field reads neither the sites nor H.
     sub, h = _first_shell("CN0", True, True, (11.0, 23.0, 37.0))
-
-    def scan(*args):
-        raise AssertionError("O(n^2) block scan at a tilted field")
-
-    monkeypatch.setattr(np, "ix_", scan)
+    calls = _spied(monkeypatch, "_threefold_images", "_levels")
     assert _block_pairs(h, sub, INTENSITY_FLOOR) is None
     assert len(exact_transitions(h, sub)) > 0
+    assert calls == []
+    # Along c the same system goes on to the sites and to H's entries.
+    along_c = build_hamiltonian(sub, np.array([0.0, 0.0, 37.0]), terms=h.terms)
+    assert _block_pairs(along_c, sub, INTENSITY_FLOOR) is not None
+    assert calls[0] == "_threefold_images" and "_levels" in calls
+
+
+@pytest.mark.parametrize("field", [(0.0, 0.0, 42.0), (0.0, 0.0, -200.0)])
+def test_c_axis_shells_without_the_turn_take_the_full_solve(monkeypatch, field):
+    # CN0's first shell as 11B, 11B and 10B: c is a principal axis of every
+    # tensor, so H keeps parity, but no turn maps the sites to themselves.
+    # The sites end the split test before H is read, and the lines are the
+    # full solve's, byte for byte.
+    cn0 = _load("CN0")
+    pattern, = (p for p in enumerate_patterns(cn0, ("B",)) if p.describe() == "2x11B+1x10B")
+    system = apply_pattern(cn0, pattern)
+    sub = system.subsystem(shell_indices(system))
+    h = build_hamiltonian(sub, np.array(field), terms=("ezi", "hfi", "nzi", "nqi"))
+    assert not _off_block(h).any()
+    calls = _spied(monkeypatch, "_threefold_images", "_levels")
+    assert solvers._sectors(h, sub) is None
+    assert calls == ["_threefold_images"]
+    _assert_full_solve_bytes(sub, h)
 
 
 def test_any_entry_across_the_blocks_forces_the_full_solve():
@@ -430,8 +461,8 @@ _C_PRINCIPAL_SITE = st.tuples(
     sign=st.sampled_from([1.0, -1.0]),
     terms=st.sampled_from([("ezi", "hfi"), ("ezi", "hfi", "nzi"), ("ezi", "hfi", "nzi", "nqi")]),
 )
-# Two equal 11B sites: level pairs 2e-7 MHz apart inside each block, which an
-# unrefined block eigh mixed by 5e-7 in intensity (the allowance is 5.1e-7).
+# Two equal 11B sites, not axial about c, with level pairs 2e-7 MHz apart: no
+# turn maps them to themselves, so the full solve.
 @example(
     kinds=[("11B", (0.0, 19.75, 0.1875), 1.552700896361322, 2, (0.0, 0.0)),
            ("11B", (0.0, 19.75, 0.1875), 0.1875, 2, (0.0, 0.0))],
@@ -451,36 +482,17 @@ def test_blocks_match_the_full_solve_for_c_principal_systems(kinds, magnitude, s
     assert not _off_block(h).any()
     lines = exact_transitions(h, system)
     freqs, intens = _full_solve_lines(h)
-    if _block_pairs(h, system, INTENSITY_FLOOR) is None:
+    split = solvers._sectors(h, system)
+    if split is not None and _block_pairs(h, system, INTENSITY_FLOOR) is not None:
+        _assert_blocks_match(lines, freqs, intens, h)
+        return
+    if split is not None:       # sectors with levels degenerate across them
         levels = np.linalg.eigvalsh(h.matrix)
         gap = np.diff(levels).min()
         assert gap <= 2.0 * _DEGENERACY_TOLERANCE * np.abs(levels).max()
-        assert np.array_equal(lines.frequencies, freqs)
-        assert np.array_equal(lines.intensities, intens)
-    else:
-        _assert_blocks_match(lines, freqs, intens, h)
-
-
-def _parity_solve_lines(h, intensity_floor=INTENSITY_FLOOR):
-    """``exact_transitions`` as it ran before the threefold sectors: the two
-    parity blocks, each refined by ``_sharpen``; ``None`` where that path
-    solved in full (a mixed or a degenerate spectrum)."""
-    even, odd = solvers._parity_split(h.dims).rows
-    if _off_block(h).any():
-        return None
-    h_even, h_odd = h.matrix[np.ix_(even, even)], h.matrix[np.ix_(odd, odd)]
-    e_even, u_even = np.linalg.eigh(h_even)
-    e_odd, u_odd = np.linalg.eigh(h_odd)
-    merged = np.sort(np.concatenate((e_even, e_odd)))
-    if np.diff(merged).min() <= _DEGENERACY_TOLERANCE * np.abs(merged).max():
-        return None
-    u_even = solvers._sharpen(h_even, e_even, u_even)
-    u_odd = solvers._sharpen(h_odd, e_odd, u_odd)
-    moments = np.abs(0.5 * (u_odd.conj().T @ u_even)) ** 2
-    fi, ii = np.nonzero(moments >= intensity_floor * moments.max())
-    freqs, intens = np.abs(e_odd[fi] - e_even[ii]), moments[fi, ii]
-    order = np.lexsort((intens, freqs))
-    return freqs[order], intens[order]
+    # Without the turn, or degenerate: the full solve, byte for byte.
+    assert np.array_equal(lines.frequencies, freqs)
+    assert np.array_equal(lines.intensities, intens)
 
 
 # Sector sizes, sorted, of the first shells along c: n = 128, 256, 54 and 108.
@@ -524,9 +536,8 @@ def test_threefold_sectors_match_the_full_solve_along_c(case, magnitude, sign, v
             return
         # CB0: its three equal 14N, axial about c, give levels degenerate across sectors.
     else:
-        assert split is None if variant == "tilted" else len(split.sizes) == 2
-    # What the parity blocks gave before the sectors, or the full solve.
-    freqs, intens = _parity_solve_lines(h) or _full_solve_lines(h)
+        assert split is None
+    freqs, intens = _full_solve_lines(h)
     assert np.array_equal(lines.frequencies, freqs)
     assert np.array_equal(lines.intensities, intens)
 
@@ -600,16 +611,17 @@ def _turned_away(h, sub):
 
 
 @pytest.mark.parametrize("label", ["CN0", "CB0"])
-def test_an_entry_that_breaks_the_turn_leaves_the_parity_blocks(label):
+def test_an_entry_that_breaks_the_turn_takes_the_full_solve(label):
     sub, h = _first_shell(label, False, True, (0.0, 0.0, 150.0))
     assert len(solvers._sectors(h, sub).sizes) == 6
     # A term the sites do not show, and an H of another system of the same
     # layout (one site's tensor off the turned one's by 1e-3 MHz).
     other = build_hamiltonian(_nudged(sub, 1, 1e-3), h.field, terms=h.terms)
     for broken in (*_turned_away(h, sub), other):
-        assert len(solvers._sectors(broken, sub).sizes) == 2
+        assert not _off_block(broken).any()
+        assert solvers._sectors(broken, sub) is None
         lines = exact_transitions(broken, sub)
-        freqs, intens = _parity_solve_lines(broken) or _full_solve_lines(broken)
+        freqs, intens = _full_solve_lines(broken)
         assert np.array_equal(lines.frequencies, freqs)
         assert np.array_equal(lines.intensities, intens)
 
@@ -1124,15 +1136,32 @@ def test_exact_rejects_an_intensity_floor_outside_the_unit_interval(floor):
         exact_transitions(h, system, intensity_floor=floor)
 
 
-# Floor 1 keeps only the strongest line; floor 0 keeps every pair across
-# the parity blocks of this c-axis system (4 x 4).
-@pytest.mark.parametrize("floor, count", [(0.0, 16), (1.0, 1)])
-def test_exact_accepts_the_unit_interval_ends(floor, count):
-    system = _single("11B", (1.4, -0.9, 6.1))
+# Floor 1 keeps only the strongest line. Floor 0 keeps every pair the path
+# forms for these 8-state systems along c: an 11B axial about c turns into
+# itself and takes the sectors, which form the 4 x 4 pairs across parity; a
+# rhombic one takes the full solve, which forms all 28 upward pairs.
+@pytest.mark.parametrize("principal_values, floor, count", [
+    pytest.param((-0.9, -0.9, 6.1), 0.0, 16, id="0.0-16"),
+    pytest.param((1.4, -0.9, 6.1), 0.0, 28, id="0.0-28"),
+    pytest.param((1.4, -0.9, 6.1), 1.0, 1, id="1.0-1"),
+])
+def test_exact_accepts_the_unit_interval_ends(principal_values, floor, count):
+    system = _single("11B", principal_values)
     h = build_hamiltonian(system, FIELD)
+    assert (_block_pairs(h, system, floor) is not None) == (count == 16)
     lines = exact_transitions(h, system, intensity_floor=floor)
     assert len(lines) == count
     assert lines.intensities.max() == exact_transitions(h, system).intensities.max()
+
+
+def test_exact_solves_an_h_of_zeros():
+    # The bare electron at zero field: no entry to test the turn on.
+    system = SpinSystem("e", ())
+    h = build_hamiltonian(system, np.zeros(3), terms=("ezi",))
+    lines = exact_transitions(h, system)
+    freqs, intens = _full_solve_lines(h)
+    assert np.array_equal(lines.frequencies, freqs)
+    assert np.array_equal(lines.intensities, intens)
 
 
 def _uncached_shift_tables(system, field, order, mode, sites=None):
